@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.store.disk import DiskStore
 
+from repro.arrangement.adjacency import face_boundedness, facets_of_faces
 from repro.errors import GeometryError
 from repro.geometry.fourier_motzkin import LinearConstraint
 from repro.geometry.hyperplane import Hyperplane
@@ -88,6 +89,13 @@ class Arrangement:
     _face_index: dict = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
+    #: Lazily derived face-lattice data (``"facets"``, ``"bounded"``),
+    #: read off the sign vectors alone; a non-field cache like
+    #: ``_face_index``.  Each value is an immutable tuple stored whole,
+    #: so concurrent first calls at worst compute it twice.
+    _lattice: dict = field(
+        default_factory=dict, compare=False, repr=False, hash=False
+    )
 
     # -- lookups ---------------------------------------------------------
     def face_by_signs(self, signs: SignVector) -> Face | None:
@@ -100,6 +108,22 @@ class Arrangement:
             _SIGN_INDEX_BUILDS.inc()
             index.update({face.signs: face for face in self.faces})
         return index
+
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """Entry ``i``: indices of the faces one dimension below face
+        ``i`` in its closure (see :func:`facets_of_faces`)."""
+        lattice = self._lattice
+        if "facets" not in lattice:
+            lattice["facets"] = facets_of_faces(self.faces)
+        return lattice["facets"]
+
+    def bounded(self) -> tuple[bool, ...]:
+        """Entry ``i``: is face ``i`` bounded?  Combinatorial, no LP
+        (see :func:`face_boundedness`)."""
+        lattice = self._lattice
+        if "bounded" not in lattice:
+            lattice["bounded"] = face_boundedness(self.faces, self.facets())
+        return lattice["bounded"]
 
     def locate(self, point: Sequence[Fraction]) -> Face:
         """The unique face containing a rational point."""

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arrangement.adjacency import faces_incident
 from repro.arrangement.builder import Arrangement
-from repro.arrangement.faces import Face
 
 EMPTY_FACE = "∅"
 FULL_FACE = "A(S)"
@@ -37,26 +35,17 @@ class IncidenceGraph:
 
     @staticmethod
     def build(arrangement: Arrangement) -> "IncidenceGraph":
-        faces = arrangement.faces
-        by_dimension: dict[int, list[Face]] = {}
-        for face in faces:
-            by_dimension.setdefault(face.dimension, []).append(face)
+        facets = arrangement.facets()
+        higher: list[list[int]] = [[] for _ in arrangement.faces]
+        for index, below in enumerate(facets):
+            for lower in below:
+                higher[lower].append(index)
 
         down: list[tuple[object, ...]] = []
         up: list[tuple[object, ...]] = []
-        for face in faces:
-            lower = [
-                g.index
-                for g in by_dimension.get(face.dimension - 1, [])
-                if faces_incident(face, g)
-            ]
-            higher = [
-                g.index
-                for g in by_dimension.get(face.dimension + 1, [])
-                if faces_incident(face, g)
-            ]
-            lower_list: list[object] = sorted(lower)
-            higher_list: list[object] = sorted(higher)
+        for face in arrangement.faces:
+            lower_list: list[object] = list(facets[face.index])
+            higher_list: list[object] = list(higher[face.index])
             if face.dimension == 0:
                 lower_list.insert(0, EMPTY_FACE)
             if face.dimension == arrangement.dimension:

@@ -188,7 +188,18 @@ def solve_lp(
     Strict constraints are rejected — use :func:`feasible` /
     :func:`strict_feasible_point` for open systems.  Variables are
     unrestricted in sign (handled by the usual ``x = x⁺ - x⁻`` split).
+    Each call counts one ``lp.optimizations``.
     """
+    _LP_OPTIMIZATIONS.inc()
+    return _solve_lp(objective, constraints, maximize)
+
+
+def _solve_lp(
+    objective: Sequence[object],
+    constraints: Sequence[LinearConstraint],
+    maximize: bool,
+) -> LPResult:
+    """:func:`solve_lp` without the counter (the feasibility tier's core)."""
     obj = [as_fraction(c) for c in objective]
     n = len(obj)
     for constraint in constraints:
@@ -362,7 +373,7 @@ def _exact_solve(
         return _solve_interval(constraints)
     has_strict = any(c.rel is Rel.LT for c in constraints)
     if not has_strict:
-        result = solve_lp([ZERO] * dim, constraints)
+        result = _solve_lp([ZERO] * dim, constraints, False)
         return (
             result.point
             if result.status is not LPStatus.INFEASIBLE
@@ -370,7 +381,7 @@ def _exact_solve(
         )
     widened = _with_epsilon(constraints)
     objective = [ZERO] * dim + [ONE]
-    result = solve_lp(objective, widened, maximize=True)
+    result = _solve_lp(objective, widened, True)
     if result.status is LPStatus.INFEASIBLE:
         return None
     assert result.point is not None
@@ -397,6 +408,10 @@ _CACHE_LIMIT = 200_000
 #: plain attribute add.
 _LP_SOLVES = get_registry().counter("lp.solves")
 _LP_CACHE_HITS = get_registry().counter("lp.cache_hits")
+#: Exact optimisations asked through :func:`solve_lp` (extents,
+#: boundedness of polyhedra, the NC¹ cube test).  Feasibility questions
+#: count as ``lp.solves`` instead, so each exact LP is counted once.
+_LP_OPTIMIZATIONS = get_registry().counter("lp.optimizations")
 
 #: Latency distribution of uncached feasibility solves.  Bound once like
 #: the counters; ``observe`` is one lock + a short bucket scan, measured

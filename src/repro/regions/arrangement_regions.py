@@ -1,9 +1,11 @@
 """Arrangement-backed regions (the decomposition of Sections 3-6).
 
 Regions are the faces of A(S).  All region predicates reduce to the
-combinatorics of position vectors, so they are fast and exact; the
-defining formula of a face is the conjunction of atoms read off its
-position vector (as in the proof of Theorem 4.3).
+combinatorics of position vectors, so they are fast and exact:
+boundedness is read bottom-up off the face lattice
+(:meth:`Arrangement.bounded`), and the defining formula of a face is
+the conjunction of atoms read off its position vector (as in the proof
+of Theorem 4.3).
 """
 
 from __future__ import annotations
@@ -24,15 +26,10 @@ from repro.regions.ordering import sort_regions
 class ArrangementRegion(Region):
     """A face of the arrangement, viewed through the region interface."""
 
-    def __init__(
-        self,
-        face: Face,
-        hyperplanes: tuple[Hyperplane, ...],
-    ) -> None:
+    def __init__(self, face: Face, arrangement: Arrangement) -> None:
         self.face = face
-        self.index = face.index
-        self._hyperplanes = hyperplanes
-        self._bounded: bool | None = None
+        self.arrangement = arrangement
+        self.index = -1  # assigned by the decomposition
 
     @property
     def ambient_dimension(self) -> int:
@@ -43,17 +40,13 @@ class ArrangementRegion(Region):
         return self.face.dimension
 
     def is_bounded(self) -> bool:
-        if self._bounded is None:
-            self._bounded = self.face.polyhedron(
-                self._hyperplanes
-            ).is_bounded()
-        return self._bounded
+        return self.arrangement.bounded()[self.face.index]
 
     def sample_point(self) -> tuple[Fraction, ...]:
         return self.face.sample
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        return self.face.contains(self._hyperplanes, point)
+        return self.face.contains(self.arrangement.hyperplanes, point)
 
     def closure_contains_region(self, other: Region) -> bool:
         if isinstance(other, ArrangementRegion):
@@ -63,7 +56,9 @@ class ArrangementRegion(Region):
         )
 
     def defining_formula(self, variables: Sequence[str]) -> Formula:
-        return self.face.defining_formula(self._hyperplanes, variables)
+        return self.face.defining_formula(
+            self.arrangement.hyperplanes, variables
+        )
 
     def sort_key(self) -> tuple:
         return ("face", self.face.signs)
@@ -86,19 +81,11 @@ class ArrangementDecomposition(Decomposition):
                 relation, hyperplanes=extra_hyperplanes
             )
         self.arrangement = arrangement
-        wrapped = [
-            ArrangementRegion(face, self.arrangement.hyperplanes)
-            for face in self.arrangement.faces
-        ]
-        ordered = sort_regions(wrapped)
-        # Re-index in canonical order; keep the face objects intact.
-        regions: list[ArrangementRegion] = []
-        for index, region in enumerate(ordered):
-            fresh = ArrangementRegion(
-                region.face, self.arrangement.hyperplanes
-            )
-            fresh.index = index
-            regions.append(fresh)
+        regions = sort_regions([
+            ArrangementRegion(face, arrangement) for face in arrangement.faces
+        ])
+        for index, region in enumerate(regions):
+            region.index = index
         super().__init__(relation, regions)
 
     def _compute_subset(self, index: int) -> bool:
