@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--clear",
         action="store_true",
-        help="reset the persisted statistics to an empty object",
+        help="reset the statistics (the in-memory book and the "
+             "persisted entry) to an empty object",
     )
     stats.add_argument(
         "--json",
@@ -761,14 +762,16 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
     plan-node fingerprints by accumulated wall.  With ``--query`` the
     text is parsed and each sub-formula with recorded measurements is
     shown next to the cost model's static prediction, so calibration
-    drift is visible at a glance.  ``--clear`` writes a fresh empty
-    statistics object over the store entry.
+    drift is visible at a glance.  ``--clear`` empties the store's
+    shared statistics book and writes an empty entry.  Reads go through
+    the book, so runs recorded earlier in this process are included
+    even before they are written back.
     """
     import json
 
-    from repro.optimizer import Statistics, node_fingerprint
+    from repro.optimizer import node_fingerprint
     from repro.optimizer.cost import CostModel, _SECONDS_TO_UNITS
-    from repro.store import active_store, statistics_key
+    from repro.store import active_store
 
     store = active_store()
     if store is None:
@@ -779,11 +782,10 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
         )
         return 2
     if args.clear:
-        store.save("statistics", statistics_key(), Statistics())
+        store.reset_statistics()
         print(f"cleared statistics in {store.root}", file=out)
         return 0
-    loaded = store.load("statistics", statistics_key())
-    statistics = loaded if isinstance(loaded, Statistics) else Statistics()
+    statistics = store.statistics_book().snapshot()
     report: dict = {
         "cache_dir": str(store.root),
         "runs": float(statistics.runs),

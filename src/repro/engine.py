@@ -569,8 +569,6 @@ class QueryEngine:
         #: rendering.  Re-planning must return the *same* formula object
         #: so EXPLAIN's profiler frames line up with the plan tree.
         self._plans: OrderedDict[str, tuple] = OrderedDict()
-        self._statistics = None
-        self._statistics_loaded = False
         self._knobs = None
         registry = get_registry()
         self._c_opt_hits = registry.counter("optimizer.stats_hits")
@@ -628,23 +626,14 @@ class QueryEngine:
         return resolve_optimizer(self.config.optimizer) == "on"
 
     def statistics(self):
-        """The persisted optimizer statistics (``None`` without a store).
+        """The store's shared statistics book (``None`` without a store).
 
-        Loaded once per engine; a corrupt entry is quarantined by the
-        store and read as a miss, so a bad file can degrade plans back
-        to the static priors but never produce a wrong one.
+        One :class:`~repro.optimizer.statistics.StatisticsBook` per
+        store, shared by every engine of the process, so each engine
+        plans with every engine's measurements.
         """
-        if self._statistics_loaded:
-            return self._statistics
-        self._statistics_loaded = True
         disk = self._store()
-        if disk is not None:
-            from repro.optimizer.statistics import Statistics
-
-            loaded = disk.load("statistics", store_pkg.statistics_key())
-            if isinstance(loaded, Statistics):
-                self._statistics = loaded
-        return self._statistics
+        return disk.statistics_book() if disk is not None else None
 
     def knob_decisions(self) -> list:
         """The resolved adaptive knobs with their ``because`` strings."""
@@ -724,15 +713,17 @@ class QueryEngine:
         return original_text
 
     def _record_statistics(self, formula: ast.RegFormula, profiler) -> None:
-        """Merge one profiled run into the persisted statistics."""
+        """Record one profiled run in the store's statistics book.
+
+        The book is written back every ``FLUSH_RUNS`` runs and at
+        interpreter exit: a hard kill loses at most ``FLUSH_RUNS - 1``
+        runs of advisory statistics, never an answer.
+        """
         disk = self._store()
         if disk is None:
             return
         from repro.explain import _children_of
-        from repro.optimizer.statistics import (
-            Statistics,
-            harvest_profile,
-        )
+        from repro.optimizer.statistics import FLUSH_RUNS, harvest_profile
 
         nodes_by_id: dict[int, ast.RegFormula] = {}
 
@@ -750,11 +741,8 @@ class QueryEngine:
         run_nodes.update(self._global_run_stats(profiler))
         if not run_nodes:
             return
-        base = self.statistics() or Statistics()
-        merged = base.merge(run_nodes)
-        disk.save("statistics", store_pkg.statistics_key(), merged)
-        self._statistics = merged
-        self._statistics_loaded = True
+        if disk.statistics_book().record(run_nodes) >= FLUSH_RUNS:
+            disk.flush_statistics()
         self._c_opt_updates.inc()
 
     def _global_run_stats(self, profiler) -> dict:
@@ -1101,6 +1089,12 @@ class QueryEngine:
         from repro.config import resolve_backend, resolve_executor
 
         registry = get_registry()
+        disk = self._store()
+        book = (
+            disk.statistics_book()
+            if disk is not None and self.optimizer_enabled()
+            else None
+        )
         numbers: dict[str, object] = {
             "cache": self.cache.stats(),
             "executor": resolve_executor(self.config.executor),
@@ -1111,10 +1105,9 @@ class QueryEngine:
                 "stats_misses": registry.get("optimizer.stats_misses"),
                 "rewrites": registry.get("optimizer.rewrites"),
                 "stats_updates": registry.get("optimizer.stats_updates"),
+                "stats_flushes": registry.get("optimizer.stats_flushes"),
                 "persisted_nodes": (
-                    len(self._statistics.nodes)
-                    if self._statistics is not None
-                    else 0
+                    book.node_count() if book is not None else 0
                 ),
             },
         }
@@ -1122,7 +1115,6 @@ class QueryEngine:
             numbers["evaluator"] = self._evaluator.metrics.snapshot()
         if self._extension is not None:
             numbers["regions"] = self._extension.region_count()
-        disk = self._store()
         if disk is not None:
             numbers["store"] = disk.stats()
         return numbers

@@ -3,8 +3,9 @@
 The closed loop over the engine's measured costs:
 
 * :mod:`repro.optimizer.statistics` — the versioned, Fraction-exact
-  :class:`Statistics` object persisted in the disk store and merged
-  across runs with decay;
+  :class:`Statistics` snapshot persisted in the disk store, and the
+  :class:`StatisticsBook` each store keeps in memory, shared by every
+  engine of a process and decayed lazily across runs;
 * :mod:`repro.optimizer.cost` — the calibrated cost model over plan
   nodes (static priors overridden by observed per-node measurements);
 * :mod:`repro.optimizer.rewrite` — answer-preserving plan rewrites:
@@ -20,12 +21,14 @@ on it); the heavier submodules are imported by their consumers.
 
 from repro.optimizer.statistics import (
     DECAY,
+    FLUSH_RUNS,
     GLOBAL_ARRANGEMENT,
     GLOBAL_LP,
     MAX_NODES,
     STATS_VERSION,
     NodeStats,
     Statistics,
+    StatisticsBook,
     harvest_profile,
     make_node_stats,
     node_fingerprint,
@@ -33,12 +36,14 @@ from repro.optimizer.statistics import (
 
 __all__ = [
     "DECAY",
+    "FLUSH_RUNS",
     "GLOBAL_ARRANGEMENT",
     "GLOBAL_LP",
     "MAX_NODES",
     "STATS_VERSION",
     "NodeStats",
     "Statistics",
+    "StatisticsBook",
     "harvest_profile",
     "make_node_stats",
     "node_fingerprint",

@@ -21,7 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.logic import ast
-from repro.optimizer.statistics import Statistics, node_fingerprint
+from repro.optimizer.statistics import (
+    Statistics,
+    StatisticsBook,
+    node_fingerprint,
+)
 
 #: Static per-node priors, in abstract units (~1 µs of evaluator work).
 #: Cheap cached bits first, then element-sort atoms that touch the
@@ -77,7 +81,9 @@ class CostModel:
     warm-run acceptance signal (``optimizer.stats_hits > 0``).
     """
 
-    def __init__(self, statistics: Statistics | None = None) -> None:
+    def __init__(
+        self, statistics: Statistics | StatisticsBook | None = None
+    ) -> None:
         self.statistics = statistics or Statistics()
         self.stats_hits = 0
         self.stats_misses = 0

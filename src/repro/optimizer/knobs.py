@@ -35,6 +35,7 @@ from repro.optimizer.statistics import (
     GLOBAL_ARRANGEMENT,
     GLOBAL_LP,
     Statistics,
+    StatisticsBook,
 )
 
 #: Fallback rate at or above which the float LP filter tier is judged
@@ -72,7 +73,7 @@ def _env(name: str) -> str | None:
 
 
 def choose_knobs(
-    config, statistics: Statistics | None = None
+    config, statistics: Statistics | StatisticsBook | None = None
 ) -> list[KnobDecision]:
     """Resolve every adaptive knob for one engine.
 
@@ -95,7 +96,9 @@ def decided(decisions: list[KnobDecision], name: str) -> KnobDecision:
     raise KeyError(name)
 
 
-def _choose_lp_mode(config, stats: Statistics) -> KnobDecision:
+def _choose_lp_mode(
+    config, stats: Statistics | StatisticsBook
+) -> KnobDecision:
     if config.lp_mode is not None:
         return KnobDecision(
             "lp_mode", config.lp_mode, "explicit configuration"
@@ -132,7 +135,9 @@ def _choose_lp_mode(config, stats: Statistics) -> KnobDecision:
     )
 
 
-def _choose_jobs(config, stats: Statistics) -> KnobDecision:
+def _choose_jobs(
+    config, stats: Statistics | StatisticsBook
+) -> KnobDecision:
     if config.jobs is not None:
         return KnobDecision(
             "jobs", str(config.jobs), "explicit configuration"

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from repro.logic import ast
 from repro.logic.transform import optimize as _scope_optimize
 from repro.optimizer.cost import CostModel
-from repro.optimizer.statistics import Statistics
+from repro.optimizer.statistics import Statistics, StatisticsBook
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class RewriteOutcome:
 
 def rewrite_query(
     formula: ast.RegFormula,
-    statistics: Statistics | None = None,
+    statistics: Statistics | StatisticsBook | None = None,
     scope_minimize: bool = True,
 ) -> RewriteOutcome:
     """Rewrite one query plan; pure, deterministic, answer-preserving."""

@@ -510,22 +510,36 @@ def canonical_json(value: Any) -> bytes:
 
 def checksum(schema: int, kind: str, payload: Any) -> str:
     """The envelope checksum: SHA-256 over version, kind and payload."""
+    return _checksum_bytes(schema, kind, canonical_json(payload))
+
+
+def _checksum_bytes(schema: int, kind: str, payload_bytes: bytes) -> str:
     digest = hashlib.sha256()
     digest.update(f"{schema}:{kind}:".encode("ascii"))
-    digest.update(canonical_json(payload))
+    digest.update(payload_bytes)
     return digest.hexdigest()
 
 
 def dumps(kind: str, obj: object) -> bytes:
-    """Serialise one artifact to its canonical envelope bytes."""
-    payload = encode(kind, obj)
-    envelope = {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "checksum": checksum(SCHEMA_VERSION, kind, payload),
-        "payload": payload,
-    }
-    return canonical_json(envelope)
+    """Serialise one artifact to its canonical envelope bytes.
+
+    The payload is encoded once and spliced into the envelope, whose
+    keys are written in sorted order (``checksum``, ``kind``,
+    ``payload``, ``schema``): the same bytes as :func:`canonical_json`
+    over the whole envelope.
+    """
+    payload_bytes = canonical_json(encode(kind, obj))
+    return b"".join((
+        b'{"checksum":"',
+        _checksum_bytes(SCHEMA_VERSION, kind, payload_bytes).encode("ascii"),
+        b'","kind":',
+        canonical_json(kind),
+        b',"payload":',
+        payload_bytes,
+        b',"schema":',
+        canonical_json(SCHEMA_VERSION),
+        b"}",
+    ))
 
 
 def loads(kind: str, data: bytes) -> object:

@@ -106,6 +106,21 @@ def test_relation_encoding_is_deterministic(relation):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(relations)
+def test_spliced_envelope_matches_canonical_json(relation):
+    # dumps encodes the payload once and splices it into the envelope;
+    # the bytes must equal canonical JSON over the whole envelope dict.
+    payload = codec.encode("relation", relation)
+    envelope = {
+        "schema": codec.SCHEMA_VERSION,
+        "kind": "relation",
+        "checksum": codec.checksum(codec.SCHEMA_VERSION, "relation", payload),
+        "payload": payload,
+    }
+    assert codec.dumps("relation", relation) == codec.canonical_json(envelope)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(planes, min_size=1, max_size=3, unique=True))
 @pytest.mark.parametrize("mode", fastlp.LP_MODES)
