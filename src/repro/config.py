@@ -92,10 +92,10 @@ EXECUTORS = ("compiled", "interpreted")
 BACKENDS = ("memory", "sqlite")
 
 #: Cost-based optimizer switch.  ``"on"`` applies the answer-preserving
-#: plan rewrites of :mod:`repro.optimizer` (NNF + miniscoping,
-#: cost-ordered conjuncts, statistics-fed knob selection) inside
-#: :class:`~repro.engine.QueryEngine`; ``"off"`` is the ablated oracle
-#: path the equivalence suite compares against.
+#: plan rewrites of :mod:`repro.optimizer` (NNF + miniscoping, the
+#: region lift, cost-ordered conjuncts, statistics-fed knob selection)
+#: inside :class:`~repro.engine.QueryEngine`; ``"off"`` is the ablated
+#: oracle path the equivalence suite compares against.
 OPTIMIZERS = ("on", "off")
 
 #: Labeled-telemetry switch.  ``"on"`` lets the engine and server attach

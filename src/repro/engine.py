@@ -684,9 +684,16 @@ class QueryEngine:
         if cached is not None:
             self._plans.move_to_end(key)
             return cached
+        from repro.optimizer.lift import RegionSort
         from repro.optimizer.rewrite import rewrite_query
 
-        outcome = rewrite_query(formula, self.statistics())
+        outcome = rewrite_query(
+            formula,
+            self.statistics(),
+            region_sort=RegionSort.of(
+                self.database, self.decomposition, self.spatial_name
+            ),
+        )
         self._c_opt_rewrites.inc()
         if outcome.model.stats_hits:
             self._c_opt_hits.inc(outcome.model.stats_hits)

@@ -11,6 +11,8 @@ The closed loop over the engine's measured costs:
 * :mod:`repro.optimizer.rewrite` — answer-preserving plan rewrites:
   NNF + miniscoping, cheapest/most-selective-first conjunct order,
   quantifier-chain elimination order, datalog rule-body atom order;
+* :mod:`repro.optimizer.lift` — the region lift: element quantifiers
+  over ``S(x̄)`` / ``x̄ ∈ R`` atoms become region quantifiers;
 * :mod:`repro.optimizer.knobs` — adaptive lp_mode/jobs/executor/backend
   selection from the persisted statistics, with ``chosen``/``because``
   decision records surfaced by ``repro explain`` and ``/v1/explain``.

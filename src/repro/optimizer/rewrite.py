@@ -9,10 +9,14 @@ plan may *represent* the answer differently, but it denotes the same
 set, and the interpreted and compiled executors consume the identical
 rewritten plan so their stage relations stay byte-identical.
 
-Three levers, in evaluation-impact order:
+Four levers, in evaluation-impact order:
 
 * **scope minimisation** — ``transform.optimize`` (NNF + miniscoping)
   shrinks quantifier scopes before anything else looks at the plan;
+* **region lift** (:mod:`repro.optimizer.lift`) — an element
+  quantifier whose variables occur only in ``S(x̄)`` and ``x̄ ∈ R``
+  atoms, with S a union of regions, becomes a region quantifier, decided
+  region by region with no complement and no elimination;
 * **conjunct/disjunct ordering** — operands sorted cheapest and most
   decisive first, so the evaluator's boolean short-circuit path stops
   as early as possible (the Grohe–Schwandtner selective-atom-first
@@ -32,11 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.logic import ast
 from repro.logic.transform import optimize as _scope_optimize
 from repro.optimizer.cost import CostModel
 from repro.optimizer.statistics import Statistics, StatisticsBook
+
+if TYPE_CHECKING:
+    from repro.optimizer.lift import RegionSort
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,14 @@ def rewrite_query(
     formula: ast.RegFormula,
     statistics: Statistics | StatisticsBook | None = None,
     scope_minimize: bool = True,
+    region_sort: "RegionSort | None" = None,
 ) -> RewriteOutcome:
-    """Rewrite one query plan; pure, deterministic, answer-preserving."""
+    """Rewrite one query plan; pure, deterministic, answer-preserving.
+
+    ``region_sort`` enables the region lift; without it (unit use, or
+    a decomposition whose regions do not partition ℝᵈ) the element
+    quantifiers stay on the element sort.
+    """
     model = CostModel(statistics)
     decisions: list[Decision] = []
     if scope_minimize:
@@ -95,7 +109,25 @@ def rewrite_query(
                 )
             )
         formula = minimized
+    lifts: list[tuple[str, str, str]] = []
+    if region_sort is not None:
+        from repro.optimizer.lift import lift_regions
+
+        formula, lifts = lift_regions(formula, region_sort)
     rewritten = _Rewriter(model, decisions).rewrite(formula)
+    if lifts:
+        # Later lifts and operand ordering rebuild lifted nodes; each
+        # lift's fresh region variable is bound exactly once, so its
+        # binder in the final plan is the node the decision belongs to.
+        binders = {
+            node.variable: node
+            for node in _walk(rewritten)
+            if isinstance(node, (ast.ExistsRegion, ast.ForallRegion))
+        }
+        decisions.extend(
+            Decision(binders[name], chosen, because)
+            for name, chosen, because in lifts
+        )
     # Calibration probe: predict every node of the final plan once so
     # warm runs register their persisted-measurement hits (the
     # ``optimizer.stats_hits`` acceptance signal) and EXPLAIN can show

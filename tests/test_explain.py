@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.config import EngineConfig
 from repro.constraints.database import ConstraintDatabase
 from repro.constraints.io import save_database
 from repro.constraints.parser import parse_formula
@@ -65,8 +66,22 @@ class TestCompile:
         root = result.plan
         assert root.op == "query"
         assert root.detail["relations"] == ["S"]
+        # The region lift turns ∃x0. S(x0) into ∃R⟨x0⟩. sub(R⟨x0⟩, S).
         assert [child.op for child in root.children] == \
-            ["setup", "ExistsElem", "optimizer"]
+            ["setup", "ExistsRegion", "optimizer"]
+        lifted = root.children[1]
+        assert lifted.detail["chosen"].startswith("region lift x0 → ")
+        atom = lifted.children[0]
+        assert atom.op == "SubsetAtom"
+        assert atom.detail["relation"] == "S"
+
+    def test_plan_shape_optimizer_off(self):
+        engine = QueryEngine(
+            one_dim_database(), config=EngineConfig(optimizer="off")
+        )
+        root = engine.explain("exists x0. S(x0)").plan
+        assert [child.op for child in root.children] == \
+            ["setup", "ExistsElem"]
         atom = root.children[1].children[0]
         assert atom.op == "RelationAtom"
         assert atom.detail["relation"] == "S"
@@ -263,8 +278,19 @@ class TestExplainCli:
         )
         assert code == 0
         assert "EXPLAIN" in output and "ANALYZE" not in output
-        assert "∃x0 : ℝ" in output
+        # The region lift puts the quantifier on the region sort.
+        assert "∃R⟨x0⟩ : Reg" in output
+        assert "region lift x0 → R⟨x0⟩" in output
         assert "extension=build" in output
+
+    def test_explain_plain_optimizer_off(self, one_dim_file, monkeypatch):
+        monkeypatch.setenv("REPRO_OPTIMIZER", "off")
+        code, output = run_cli(
+            "explain", one_dim_file, "exists x0. S(x0)"
+        )
+        assert code == 0
+        assert "∃x0 : ℝ" in output
+        assert "region lift" not in output
 
     def test_explain_analyze_json_sums(self, one_dim_file):
         code, output = run_cli(
