@@ -691,7 +691,7 @@ def run_bench_e16(
       updated by plane delta
       (:class:`~repro.incremental.MaintainedArrangements`, O(|F|) LP
       calls per inserted plane) and the materialised fixpoint re-runs
-      the compiled semi-naive delta plans over warm, interned kernels
+      the compiled semi-naive delta plans over warm kernels
       (:class:`~repro.incremental.MaintainedProgram`);
     * **baseline** — the honest oracle: a batch arrangement rebuild
       plus the interpreted full fixpoint evaluation from scratch.
@@ -731,7 +731,7 @@ def run_bench_e16(
             max_stages = 4 * (chain_k + update) + 8
             # Untimed warm-up: the standing engine state the write
             # arrives at (base arrangement adopted, base fixpoint
-            # materialised with its kernels interned).
+            # materialised with its kernels warm).
             maintained = MaintainedProgram(
                 program, base, max_stages=max_stages
             )
@@ -836,7 +836,7 @@ def run_bench_e16(
         "baseline": "full rebuild: batch arrangement construction + "
         "interpreted semi-naive fixpoint from scratch",
         "fast": "maintenance: plane-delta arrangement update + "
-        "compiled semi-naive re-run over warm interned kernels",
+        "compiled semi-naive re-run over warm kernels",
         "target": {
             "speedup": _E16_TARGET_SPEEDUP,
             "at_update": _E16_TARGET_UPDATE,

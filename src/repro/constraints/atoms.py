@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from repro.geometry.fourier_motzkin import LinearConstraint, Rel
 from repro.geometry.hyperplane import Hyperplane
+from repro.geometry.linalg import HashOnce
 from repro.constraints.terms import LinearTerm
 
 
@@ -64,11 +65,17 @@ class Op(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Atom:
-    """The atomic constraint ``term OP 0``."""
+class Atom(HashOnce):
+    """The atomic constraint ``term OP 0`` (hashed once, see HashOnce)."""
 
     term: LinearTerm
     op: Op
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = self._keep_hash(hash((self.term, self.op)))
+        return cached
 
     @staticmethod
     def compare(lhs: LinearTerm, op: Op, rhs: LinearTerm) -> "Atom":

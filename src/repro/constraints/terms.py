@@ -14,22 +14,28 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import NonLinearTermError
-from repro.geometry.linalg import Vector, as_fraction
+from repro.geometry.linalg import HashOnce, Vector, as_fraction
 
 ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
-class LinearTerm:
+class LinearTerm(HashOnce):
     """The linear expression ``Σ coefficients[v] * v + constant``.
 
     ``coefficients`` is stored as a sorted tuple of (variable, coefficient)
     pairs with zero coefficients dropped, so structurally equal terms
-    compare and hash equal.
+    compare and hash equal.  The hash is computed once (:class:`HashOnce`).
     """
 
     coefficients: tuple[tuple[str, Fraction], ...]
     constant: Fraction
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = self._keep_hash(hash((self.coefficients, self.constant)))
+        return cached
 
     @staticmethod
     def make(

@@ -237,7 +237,6 @@ def evaluate_program_compiled(
     profiler=None,
     kernels: KernelCache | None = None,
     compiled_strata: "list[CompiledStratum] | None" = None,
-    stratum_hook=None,
 ) -> EvaluationOutcome:
     """Semi-naive evaluation through compiled IR plans.
 
@@ -255,16 +254,6 @@ def evaluate_program_compiled(
     Symbolic plans keep negated atoms as in-loop :class:`ir.Complement`
     nodes instead of hoisted constants; the relations computed are
     identical.
-
-    ``stratum_hook`` (when given) is applied to each freshly compiled
-    stratum before it runs.  Incremental maintenance
-    (:mod:`repro.incremental.fixpoint`) uses it to intern the hoisted
-    constants of every plan through one cross-version
-    :class:`~repro.incremental.interning.Interner`, so a persistent
-    kernel's identity-keyed memos keep hitting after a database delta.
-    The hook must be structure-preserving (it may substitute
-    structurally equal objects only); the evaluation control flow is
-    byte-for-byte the one above either way.
     """
     program.validate(database)
     _DATALOG_RUNS.inc()
@@ -289,8 +278,6 @@ def evaluate_program_compiled(
                 compiled = compiled_strata[position]
             else:
                 compiled = compile_stratum(program, stratum, database, idb)
-                if stratum_hook is not None:
-                    compiled = stratum_hook(compiled)
             first_stage = True
             for stage in range(1, max_stages + 1):
                 with TRACER.span("datalog.stage", aggregate=True):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from repro.errors import DimensionMismatchError
-from repro.geometry.linalg import Vector, as_fraction, vec_dot
+from repro.geometry.linalg import HashOnce, Vector, as_fraction, vec_dot
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
@@ -51,12 +51,22 @@ class Rel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    """An exact linear constraint ``coeffs . x REL rhs`` in vector form."""
+class LinearConstraint(HashOnce):
+    """An exact linear constraint ``coeffs . x REL rhs`` in vector form.
+
+    Hashed once (:class:`~repro.geometry.linalg.HashOnce`): tuples of
+    constraints key the LP feasibility memo.
+    """
 
     coeffs: Vector
     rel: Rel
     rhs: Fraction
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = self._keep_hash(hash((self.coeffs, self.rel, self.rhs)))
+        return cached
 
     @staticmethod
     def make(

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from repro.errors import GeometryError
-from repro.geometry.linalg import Vector, as_fraction, vec_dot
+from repro.geometry.linalg import HashOnce, Vector, as_fraction, vec_dot
 
 ZERO = Fraction(0)
 
@@ -56,15 +56,22 @@ def _canonicalise(
 
 
 @dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(HashOnce):
     """The hyperplane ``normal . x = offset`` in canonical form.
 
     Use :meth:`make` to construct; the raw constructor expects already
-    canonical data and is used internally.
+    canonical data and is used internally.  The hash is computed once
+    (:class:`~repro.geometry.linalg.HashOnce`).
     """
 
     normal: Vector
     offset: Fraction
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = self._keep_hash(hash((self.normal, self.offset)))
+        return cached
 
     @staticmethod
     def make(coeffs: Iterable[object], offset: object) -> "Hyperplane":

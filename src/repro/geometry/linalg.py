@@ -23,6 +23,31 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class HashOnce:
+    """Mixin for frozen value types that hash their value only once.
+
+    A subclass's ``__hash__`` computes the value hash on first use and
+    keeps it through :meth:`_keep_hash`, in the instance ``__dict__``
+    next to the other lazy caches.  It is not a dataclass field, so
+    equality and repr ignore it.  Pickles drop it: ``str`` and enum
+    hashes depend on ``PYTHONHASHSEED``, so a hash cached in one process
+    is wrong in another, and the receiving process recomputes it.
+    """
+
+    #: The cached hash; ``None`` until the first ``hash()``.
+    _hash = None
+
+    def _keep_hash(self, value: int) -> int:
+        object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_hash" in state:
+            state = {k: v for k, v in state.items() if k != "_hash"}
+        return state
+
+
 def as_fraction(value: object) -> Fraction:
     """Coerce an int/str/Fraction into an exact :class:`Fraction`.
 

@@ -12,7 +12,7 @@ maintained artifact is **byte-identical to a cold rebuild**:
   insertion *and* retraction) — combinatorially identical to a batch
   build;
 * materialised datalog answers re-run the compiled semi-naive delta
-  plans with persistent, interned kernels
+  plans with persistent kernels
   (:class:`~repro.incremental.fixpoint.MaintainedProgram`) — identical
   control flow, memoised decisions, byte-identical answers;
 * ground fixpoints on the finite region sort use classical
@@ -43,7 +43,6 @@ from repro.incremental.delta import (
 )
 from repro.incremental.fixpoint import MaintainedProgram
 from repro.incremental.ground import CountingFixpoint, reachable_regions
-from repro.incremental.interning import Interner
 from repro.incremental.lineage import (
     DEFAULT_COMPACT_EVERY,
     LineageLog,
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_COMPACT_EVERY",
     "Delta",
     "DeltaOp",
-    "Interner",
     "LineageLog",
     "MaintainedArrangements",
     "MaintainedProgram",

@@ -5,14 +5,11 @@ A :class:`MaintainedProgram` keeps one program's materialised
 database versions.  The maintenance plan IS the compiled executor's
 semi-naive delta plan (the :class:`~repro.ir.nodes.Guard`-wrapped
 stage-≥2 firings of :mod:`repro.datalog.compile`): on every write the
-program re-runs through those plans with
-
-* one **persistent** :class:`~repro.ir.kernels.KernelCache`, so every
-  feasibility/reduction/subsumption decision already taken for an
-  earlier version is a dictionary hit, and
-* one cross-version :class:`~repro.incremental.interning.Interner`, so
-  recompiled constants present identical atom objects and those
-  identity-keyed memos actually fire.
+program re-runs through those plans with one **persistent**
+:class:`~repro.ir.kernels.KernelCache`, so every feasibility/reduction/
+subsumption decision already taken for an earlier version is a
+dictionary hit.  The memos are keyed by atom values, so the structurally
+equal constants of each recompiled plan hit them too.
 
 Because the control flow is byte-for-byte the cold compiled run — only
 pure, memoised decisions are skipped — the maintained answer is
@@ -34,8 +31,6 @@ from repro.datalog.engine import EvaluationOutcome, Program
 from repro.ir.kernels import KernelCache
 from repro.obs.metrics import get_registry
 
-from repro.incremental.interning import Interner
-
 _REFRESHES = get_registry().counter("incremental.fixpoint_refreshes")
 
 
@@ -56,17 +51,8 @@ class MaintainedProgram:
         self.max_stages = max_stages
         #: Cross-version decision memos: the whole point of maintenance.
         self.kernels = KernelCache()
-        self._interner = Interner()
         self.database = database
         self.outcome = self._evaluate(database)
-
-    def _intern_stratum(self, compiled):
-        for plans in (
-            compiled.stage_one, compiled.stage_next, compiled.accumulate
-        ):
-            for predicate in plans:
-                plans[predicate] = self._interner.plan(plans[predicate])
-        return compiled
 
     def _evaluate(self, database: ConstraintDatabase) -> EvaluationOutcome:
         _REFRESHES.inc()
@@ -75,7 +61,6 @@ class MaintainedProgram:
             database,
             max_stages=self.max_stages,
             kernels=self.kernels,
-            stratum_hook=self._intern_stratum,
         )
 
     def apply(self, database: ConstraintDatabase) -> EvaluationOutcome:

@@ -10,10 +10,10 @@ conventions keep it byte-identical to the interpreted engine:
   ``None`` stage result to ``ConstraintRelation.empty(schema)``, exactly
   mirroring the interpreted ``if derived: ... else: empty`` branch.
 * Every relation-producing step calls the same underlying algebra
-  (rename/widen/project reuse :class:`ConstraintRelation` methods
-  directly; join/union/diff/simplify go through the kernels, which
-  thread memoised decisions into the *same* simplify-module control
-  flow).
+  (rename/widen reuse :class:`ConstraintRelation` methods directly;
+  join/union/diff/project/simplify go through the kernels, which
+  thread memoised decisions into the *same* simplify-module and
+  Fourier–Motzkin control flow).
 
 When a :class:`repro.explain.NodeProfiler` is supplied, every node
 evaluation is bracketed with ``enter``/``exit`` keyed on the node
@@ -124,13 +124,7 @@ def _execute(
         return None if child is None else kernels.complement(child)
     if isinstance(node, ir.Project):
         child = _recurse(node.children[0], context, kernels, profiler)
-        if child is None:
-            return None
-        result = child
-        for variable in child.variables:
-            if variable not in node.keep:
-                result = result.project_out(variable)
-        return result
+        return None if child is None else kernels.project(child, node.keep)
     if isinstance(node, ir.Simplify):
         child = _recurse(node.children[0], context, kernels, profiler)
         return None if child is None else kernels.minimise(child)

@@ -11,10 +11,10 @@ interpreted engine by construction.  It comes from *not re-deciding*:
   relation and re-product it against mostly-unchanged complements, so
   the same conjunctions are LP-checked again and again.  Feasibility is
   a pure function of the atoms, so a memo answers repeats in a dict
-  lookup; keys are atom *identity* tuples (the fixpoint loop re-presents
-  the same atom objects every stage, and value-hashing ``Fraction``
-  tuples is itself a hot spot), which can only miss more than value
-  keys, never answer wrong.
+  lookup.  Keys are the disjuncts themselves: atoms, terms and
+  constraints hash once (:class:`~repro.geometry.linalg.HashOnce`), so
+  a value key costs one cached hash per atom, pins nothing beyond the
+  key, and hits on structurally equal atoms however they were built.
 * **Interval prefilter** — before paying for an LP call, a sound
   one-pass interval check over exact ``Fraction`` bounds decides the
   easy cases in both directions: relaxed-bound interval emptiness
@@ -26,6 +26,11 @@ interpreted engine by construction.  It comes from *not re-deciding*:
   ``merge_equality_pairs`` is a pure function of a disjunct, and
   ``_subsumed`` of a disjunct pair; accumulators re-minimise mostly old
   disjuncts every stage.
+* **Projection from pruned disjuncts** — a rule's join result is
+  already a pruned DNF.  :meth:`KernelCache.project` prunes it once
+  through the feasibility memo and Fourier–Motzkin projects each
+  disjunct, instead of rebuilding ``∃v. formula`` and re-deciding every
+  prefix of every disjunct as ``ConstraintRelation.project_out`` does.
 * **Complement memo + incremental cell index** — the complement of a
   relation is cached on the relation object, and large complements that
   enumerate arrangement cells reuse the DFS prefix shared with earlier
@@ -47,7 +52,9 @@ from typing import Sequence
 
 from repro.arrangement.faces import sign_vector_constraints
 from repro.constraints.atoms import Op, atom_from_constraint
+from repro.constraints.formula import disjunction
 from repro.constraints.normal_forms import Disjunct, dnf_to_formula
+from repro.constraints.qelim import _project_disjunct
 from repro.constraints.relation import (
     ConstraintRelation,
     relation_from_disjuncts,
@@ -64,6 +71,7 @@ from repro.constraints.simplify import (
     _subsumed,
 )
 from repro.obs.metrics import get_registry
+from repro.obs.tracing import TRACER
 
 _LE_OPS = (Op.LE, Op.LT, Op.EQ)
 _GE_OPS = (Op.GE, Op.GT, Op.EQ)
@@ -199,8 +207,8 @@ class _CellEntry:
     ``rows`` memoises single row atoms keyed by ``(plane_index, sign,
     order)``.  Indexes are stable under plane-list extension (new planes
     append), so ``rows`` survives across stages while ``faces`` — whose
-    sign vectors lengthen — is reset.  Both avoid hashing hyperplanes,
-    whose ``Fraction`` components make value hashing expensive.
+    sign vectors lengthen — is reset.  Both are keyed by signs, indexes
+    and the variable order, so a lookup never compares hyperplanes.
 
     ``boxes`` holds, aligned with ``leaves``, a closed interval box per
     cell (from its single-variable sign rows, strictness relaxed) that
@@ -339,20 +347,16 @@ class KernelCache:
         )
         self._c_cells_extended = registry.counter("ir.cell_index_extensions")
         self._c_cells_full = registry.counter("ir.cell_index_full_builds")
-        # Decision memos are keyed by tuples of atom *identities*, not
-        # values: the fixpoint loop re-presents the same atom objects
-        # stage after stage (accumulator disjuncts, memoised reductions,
-        # memoised face atoms), and hashing atom values walks tuples of
-        # ``Fraction``s — measurably the dominant memo cost.  Identity
-        # keys can only *miss* more than value keys (equal atoms with
-        # different ids recompute and still agree), never answer wrong.
-        # Every memo value pins the keyed objects, keeping ids stable.
-        self._feasible: dict[tuple, tuple] = {}
-        self._reduced: dict[tuple, tuple] = {}
-        self._subsume: dict[tuple, tuple] = {}
+        # Decision memos are keyed by the disjuncts themselves.  Atoms
+        # hash once (``HashOnce``), so a key costs one cached hash per
+        # atom, and structurally equal atoms built independently — a
+        # recompiled plan's constants, say — hit the same entries.
+        self._feasible: dict[Disjunct, bool] = {}
+        self._reduced: dict[Disjunct, Disjunct] = {}
+        self._subsume: dict[tuple[Disjunct, Disjunct], bool] = {}
         # dimension -> list of _CellEntry (sorted planes, leaves, faces).
         self._cells: dict[int, list[_CellEntry]] = {}
-        # id-keyed disjunct -> compiled witness evaluator.
+        # (disjunct, order) -> compiled witness evaluator.
         self._holds_fns: dict = {}
         # Active-entry protocol: ``enumerate_cells`` records the entry it
         # returned (and the caller's plane-list object), and the
@@ -367,40 +371,38 @@ class KernelCache:
     # Decision procedures (hooks threaded into repro.constraints.simplify)
     # ------------------------------------------------------------------
     def feasibility(self, disjunct: Disjunct) -> bool:
-        key = tuple(map(id, disjunct))
-        cached = self._feasible.get(key)
+        cached = self._feasible.get(disjunct)
         if cached is not None:
             self._c_feas_hits.inc()
-            return cached[1]
+            return cached
         self._c_feas_calls.inc()
         verdict = _interval_verdict(disjunct)
         if verdict is None:
             verdict = disjunct_feasible(disjunct)
         else:
             self._c_feas_prefilter.inc()
-        self._feasible[key] = (disjunct, verdict)
+        self._feasible[disjunct] = verdict
         return verdict
 
     def reduce_disjunct(self, disjunct: Disjunct) -> Disjunct:
-        key = tuple(map(id, disjunct))
-        cached = self._reduced.get(key)
+        cached = self._reduced.get(disjunct)
         if cached is not None:
             self._c_reduce_hits.inc()
-            return cached[1]
+            return cached
         reduced = merge_equality_pairs(
             remove_redundant_atoms(disjunct, feasibility=self.feasibility)
         )
-        self._reduced[key] = (disjunct, reduced)
+        self._reduced[disjunct] = reduced
         return reduced
 
     def subsumes(self, smaller: Disjunct, larger: Disjunct) -> bool:
-        key = (tuple(map(id, smaller)), tuple(map(id, larger)))
+        key = (smaller, larger)
         cached = self._subsume.get(key)
         if cached is not None:
             self._c_subsume_hits.inc()
-            return cached[2]
+            return cached
         verdict = _subsumed(smaller, larger, feasibility=self.feasibility)
-        self._subsume[key] = (smaller, larger, verdict)
+        self._subsume[key] = verdict
         return verdict
 
     def enumerate_cells(self, planes, dimension: int):
@@ -507,12 +509,11 @@ class KernelCache:
         single complement call and is free on every later one.
         """
         fns = self._holds_fns
-        key = (tuple(map(id, disjunct)), order)
-        cached = fns.get(key)
-        if cached is None:
-            cached = (disjunct, _compile_disjunct(disjunct, order))
-            fns[key] = cached
-        return cached[1](witness)
+        key = (disjunct, order)
+        holds = fns.get(key)
+        if holds is None:
+            holds = fns[key] = _compile_disjunct(disjunct, order)
+        return holds(witness)
 
     def face_atoms(self, planes, signs, order):
         """Drop-in for the face rendering of ``cell_complement``.
@@ -610,6 +611,37 @@ class KernelCache:
     ) -> ConstraintRelation:
         """``left.difference(right)`` = join with the memoised complement."""
         return self.join((*left.variables,), [left, self.complement(right)])
+
+    def project(
+        self, relation: ConstraintRelation, keep: Sequence[str]
+    ) -> ConstraintRelation:
+        """``project_out`` of every schema variable not in ``keep``.
+
+        Drops the variables one at a time in schema order, as chained
+        ``project_out`` calls do, and yields the same formula text.
+        ``project_out`` rebuilds ``∃v. formula`` and re-derives its
+        pruned DNF, re-deciding every prefix of every disjunct; here the
+        relation's own disjuncts are pruned once through the memoised
+        feasibility, then each is Fourier–Motzkin projected.
+        """
+        for variable in relation.variables:
+            if variable in keep:
+                continue
+            with TRACER.span("fm.eliminate", aggregate=True) as fm_span:
+                disjuncts = prune_disjuncts(
+                    relation.disjuncts(), feasibility=self.feasibility
+                )
+                fm_span.add("disjuncts", len(disjuncts))
+                surviving = []
+                for disjunct in disjuncts:
+                    projected = _project_disjunct(disjunct, variable)
+                    if projected is not None:
+                        surviving.append(projected)
+            relation = ConstraintRelation.make(
+                tuple(v for v in relation.variables if v != variable),
+                disjunction(surviving),
+            )
+        return relation
 
     def minimise(self, relation: ConstraintRelation) -> ConstraintRelation:
         """``relation.simplify()`` with every decision memoised.

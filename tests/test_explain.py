@@ -17,7 +17,7 @@ from repro.constraints.database import ConstraintDatabase
 from repro.constraints.io import save_database
 from repro.constraints.parser import parse_formula
 from repro.constraints.relation import ConstraintRelation
-from repro.engine import QueryEngine
+from repro.engine import EngineCache, QueryEngine, default_cache
 from repro.explain import PROFILE_COUNTERS, PlanNode
 from repro.logic.parser import parse_query
 from repro.obs import reset_all
@@ -26,16 +26,22 @@ from repro.queries.connectivity import connectivity_query_lfp
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    from repro.engine import invalidate_cache
     from repro.geometry.simplex import clear_feasibility_cache
 
+    # The CLI tests run engines on the process-default cache.
     reset_all()
-    invalidate_cache()
+    default_cache().invalidate()
     clear_feasibility_cache()
     yield
     reset_all()
-    invalidate_cache()
+    default_cache().invalidate()
     clear_feasibility_cache()
+
+
+@pytest.fixture
+def cache() -> EngineCache:
+    """The engine cache of one test."""
+    return EngineCache()
 
 
 def one_dim_database() -> ConstraintDatabase:
@@ -57,8 +63,8 @@ def self_counter_sums(plan: PlanNode) -> dict:
 
 
 class TestCompile:
-    def test_plan_shape_and_labels(self):
-        engine = QueryEngine(one_dim_database())
+    def test_plan_shape_and_labels(self, cache):
+        engine = QueryEngine(one_dim_database(), cache=cache)
         result = engine.explain("exists x0. S(x0)")
         assert not result.analyzed
         assert result.language == "RegFO"
@@ -75,9 +81,11 @@ class TestCompile:
         assert atom.op == "SubsetAtom"
         assert atom.detail["relation"] == "S"
 
-    def test_plan_shape_optimizer_off(self):
+    def test_plan_shape_optimizer_off(self, cache):
         engine = QueryEngine(
-            one_dim_database(), config=EngineConfig(optimizer="off")
+            one_dim_database(),
+            cache=cache,
+            config=EngineConfig(optimizer="off"),
         )
         root = engine.explain("exists x0. S(x0)").plan
         assert [child.op for child in root.children] == \
@@ -86,16 +94,16 @@ class TestCompile:
         assert atom.op == "RelationAtom"
         assert atom.detail["relation"] == "S"
 
-    def test_cold_predictions(self):
-        engine = QueryEngine(one_dim_database())
+    def test_cold_predictions(self, cache):
+        engine = QueryEngine(one_dim_database(), cache=cache)
         plan = engine.explain("exists x0. S(x0)").plan
         setup = plan.children[0]
         assert setup.detail["extension"] == "build"
         assert setup.detail["arrangement"] == "build"
         assert plan.detail["result"] == "compute"
 
-    def test_warm_predictions_and_no_perturbation(self):
-        engine = QueryEngine(one_dim_database())
+    def test_warm_predictions_and_no_perturbation(self, cache):
+        engine = QueryEngine(one_dim_database(), cache=cache)
         cold = engine.explain("exists x0. S(x0)")
         engine.evaluate("exists x0. S(x0)")
         stats_before = engine.cache.stats()
@@ -106,20 +114,17 @@ class TestCompile:
         assert engine.cache.stats() == stats_before
         assert cold.plan.children[0].detail["extension"] == "build"
 
-    def test_store_prediction(self, tmp_path):
-        engine = QueryEngine(
-            one_dim_database(), cache_dir=str(tmp_path / "store")
-        )
+    def test_store_prediction(self, cache, tmp_path):
+        config = EngineConfig(cache_dir=str(tmp_path / "store"))
+        engine = QueryEngine(one_dim_database(), cache=cache, config=config)
         engine.evaluate("exists x0. S(x0)")
-        fresh = QueryEngine(
-            one_dim_database(), cache_dir=str(tmp_path / "store")
-        )
+        fresh = QueryEngine(one_dim_database(), cache=cache, config=config)
         plan = fresh.explain("exists x0. S(x0)").plan
         assert plan.detail["result"] == "store"
 
-    def test_fixpoint_node_detail(self):
+    def test_fixpoint_node_detail(self, cache):
         query = connectivity_query_lfp(1)
-        engine = QueryEngine(one_dim_database())
+        engine = QueryEngine(one_dim_database(), cache=cache)
         result = engine.explain(query)
         assert result.language == "RegLFP"
         fixpoints = [
@@ -130,8 +135,8 @@ class TestCompile:
 
 
 class TestAnalyze:
-    def test_self_counters_sum_exactly_to_totals(self):
-        engine = QueryEngine(one_dim_database())
+    def test_self_counters_sum_exactly_to_totals(self, cache):
+        engine = QueryEngine(one_dim_database(), cache=cache)
         result = engine.explain(
             "exists x0. S(x0) & x0 < 2", analyze=True
         )
@@ -141,10 +146,10 @@ class TestAnalyze:
         for name in PROFILE_COUNTERS:
             assert sums.get(name, 0) == totals.get(name, 0), name
 
-    def test_connectivity_lfp_analyze(self):
+    def test_connectivity_lfp_analyze(self, cache):
         """The E4 connectivity query: stages, costs, and exact sums."""
         query = connectivity_query_lfp(1)
-        engine = QueryEngine(one_dim_database())
+        engine = QueryEngine(one_dim_database(), cache=cache)
         result = engine.explain(query, analyze=True)
         # Two separated intervals are not connected.
         assert result.answer.is_empty()
@@ -161,8 +166,8 @@ class TestAnalyze:
         assert stages and stages[0]["stage"] == 1
         assert all("size" in s and "delta" in s for s in stages)
 
-    def test_analyze_attaches_wall_and_trace(self):
-        engine = QueryEngine(one_dim_database())
+    def test_analyze_attaches_wall_and_trace(self, cache):
+        engine = QueryEngine(one_dim_database(), cache=cache)
         result = engine.explain("exists x0. S(x0)", analyze=True)
         assert result.totals["wall_ms"] > 0
         assert result.trace is not None
@@ -171,20 +176,19 @@ class TestAnalyze:
         assert setup.cost["wall_ms"] >= 0
         assert result.plan.children[-1].op == "other"
 
-    def test_analyze_totals_match_plain_evaluation(self):
+    def test_analyze_totals_match_plain_evaluation(self, cache):
         """EXPLAIN ANALYZE measures the same work a plain run does."""
-        from repro.engine import invalidate_cache
         from repro.geometry.simplex import clear_feasibility_cache
         from repro.obs.metrics import metrics_snapshot, reset_metrics
 
-        engine = QueryEngine(one_dim_database())
+        engine = QueryEngine(one_dim_database(), cache=cache)
         result = engine.explain("exists x0. S(x0)", analyze=True)
         analyzed = result.totals["counters"]
 
-        invalidate_cache()
+        cache.invalidate()
         clear_feasibility_cache()
         reset_metrics()
-        plain = QueryEngine(one_dim_database())
+        plain = QueryEngine(one_dim_database(), cache=cache)
         plain.evaluate("exists x0. S(x0)")
         snapshot = metrics_snapshot()
         assert analyzed["lp.solves"] == snapshot["lp.solves"]

@@ -315,3 +315,185 @@ class TestKernelSoundness:
         assert kernels.difference(left, right).equivalent(
             left.difference(right)
         )
+
+
+def random_pruned_relation(rng, schema, used):
+    """A pruned relation over ``schema`` whose atoms mention ``used``.
+
+    Atoms mix strict, non-strict and equality operators; single-variable
+    and one-sided atoms leave many disjuncts unbounded.
+    """
+    from repro.constraints.atoms import Atom, Op
+    from repro.constraints.relation import relation_from_disjuncts
+    from repro.constraints.simplify import prune_disjuncts
+    from repro.constraints.terms import LinearTerm
+
+    ops = (Op.LT, Op.LE, Op.EQ, Op.GE, Op.GT)
+    disjuncts = []
+    for __ in range(rng.randint(1, 4)):
+        atoms = []
+        for __ in range(rng.randint(1, 4)):
+            names = rng.sample(used, rng.randint(1, len(used)))
+            coefficients = {
+                name: rng.choice((-2, -1, 1, 1, 2)) for name in names
+            }
+            term = LinearTerm.make(coefficients, rng.randint(-3, 3))
+            atoms.append(Atom(term, rng.choice(ops)))
+        disjuncts.append(tuple(atoms))
+    return relation_from_disjuncts(schema, prune_disjuncts(disjuncts))
+
+
+def chained_project_out(relation, keep):
+    for variable in relation.variables:
+        if variable not in keep:
+            relation = relation.project_out(variable)
+    return relation
+
+
+class TestKernelProject:
+    """``KernelCache.project`` is ``project_out`` to the byte."""
+
+    def assert_same(self, relation, keep):
+        expected = chained_project_out(relation, keep)
+        got = KernelCache().project(relation, keep)
+        assert got.variables == expected.variables
+        assert str(got.formula) == str(expected.formula), (
+            str(relation), keep
+        )
+
+    def test_seeded_random_relations(self):
+        import random
+
+        names = ("x", "y", "z")
+        for seed in range(60):
+            rng = random.Random(seed)
+            dimension = rng.randint(1, 3)
+            used = list(names[:dimension])
+            schema = tuple(used)
+            if seed % 4 == 0:
+                # A schema variable no atom mentions.
+                schema = (*schema, "w")
+            relation = random_pruned_relation(rng, schema, used)
+            keep = tuple(
+                v for v in schema if rng.random() < 0.4
+            )
+            self.assert_same(relation, keep)
+
+    def test_several_variables_dropped_in_sequence(self):
+        relation = rel(
+            "(0 <= x & x <= y & y < z & z <= 4) | "
+            "(x = y & y + z >= 1 & z < 3)",
+            schema=("x", "y", "z"),
+        )
+        for keep in ((), ("x",), ("y",), ("z",), ("x", "z")):
+            self.assert_same(relation, keep)
+
+    def test_absent_variable_and_unbounded_atoms(self):
+        relation = rel("x > 1 | x - y <= -2", schema=("x", "y", "w"))
+        for keep in (("x",), ("y", "w"), ("x", "y")):
+            self.assert_same(relation, keep)
+
+    def test_projection_to_false(self):
+        from repro.constraints.formula import FALSE
+
+        for relation in (
+            ConstraintRelation.empty(("x", "y")),
+            rel("x < y & y < x", schema=("x", "y")),
+            rel("(x = 1 & x = 2) | (y > 0 & y < 0)", schema=("x", "y")),
+        ):
+            self.assert_same(relation, ("x",))
+            assert KernelCache().project(relation, ("x",)).formula == FALSE
+
+    def test_keep_everything_is_the_relation_itself(self):
+        relation = rel("0 <= x & x <= y", schema=("x", "y"))
+        assert KernelCache().project(relation, ("x", "y")) is relation
+
+    def test_project_uses_the_feasibility_memo(self):
+        registry = get_registry()
+        kernels = KernelCache()
+        relation = rel(
+            "(0 <= x & x <= y & y <= 1) | (2 <= x & x <= 3 & y = x)",
+            schema=("x", "y"),
+        )
+        kernels.project(relation, ("x",))
+        before = registry.get("ir.feasibility_memo_hits")
+        kernels.project(relation, ("y",))
+        assert registry.get("ir.feasibility_memo_hits") > before
+
+
+class TestValueKeyedMemos:
+    """Structurally equal atoms hit the memos without being the same objects."""
+
+    def twins(self, text: str):
+        first = disjuncts_of(text)[0]
+        second = disjuncts_of(text)[0]
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+        return first, second
+
+    def test_feasibility_hits_on_equal_atoms(self):
+        registry = get_registry()
+        kernels = KernelCache()
+        first, second = self.twins("x - y <= 1 & y - x <= 1 & x >= 0")
+        assert kernels.feasibility(first)
+        hits = registry.get("ir.feasibility_memo_hits")
+        calls = registry.get("ir.feasibility_calls")
+        assert kernels.feasibility(second)
+        assert registry.get("ir.feasibility_memo_hits") == hits + 1
+        assert registry.get("ir.feasibility_calls") == calls
+
+    def test_reduce_and_subsume_hit_on_equal_atoms(self):
+        registry = get_registry()
+        kernels = KernelCache()
+        first, second = self.twins("0 <= x & x <= 2 & x <= 3 & y = 1")
+        reduced = kernels.reduce_disjunct(first)
+        hits = registry.get("ir.reduce_memo_hits")
+        assert kernels.reduce_disjunct(second) == reduced
+        assert registry.get("ir.reduce_memo_hits") == hits + 1
+
+        small, small_twin = self.twins("0 <= x & x <= 1 & y = 1")
+        assert kernels.subsumes(small, first)
+        hits = registry.get("ir.subsume_memo_hits")
+        assert kernels.subsumes(small_twin, second)
+        assert registry.get("ir.subsume_memo_hits") == hits + 1
+
+    def test_disjunct_holds_compiles_once_per_value(self):
+        kernels = KernelCache()
+        first, second = self.twins("0 <= x & x <= 1")
+        order = ("x", "y")
+        assert kernels.disjunct_holds(first, order, (F(1, 2), F(0)))
+        assert not kernels.disjunct_holds(second, order, (F(2), F(0)))
+        assert len(kernels._holds_fns) == 1
+
+
+class TestMaintainedProgramMemos:
+    PROGRAM = (
+        "Reach(x) :- S(x), x = 0.\n"
+        "Reach(y) :- Reach(x), S(y), y - x <= 1, x - y <= 1.\n"
+    )
+
+    def test_reapply_hits_memos_across_versions(self):
+        from repro.datalog.compile import evaluate_program_compiled
+        from repro.datalog.parser import parse_program
+        from repro.incremental import MaintainedProgram
+        from repro.workloads.generators import interval_chain
+
+        registry = get_registry()
+        program = parse_program(self.PROGRAM)
+        maintained = MaintainedProgram(program, interval_chain(4))
+        second = interval_chain(5)
+
+        hits = registry.get("ir.feasibility_memo_hits")
+        calls = registry.get("ir.feasibility_calls")
+        outcome = maintained.apply(second)
+        warm_hits = registry.get("ir.feasibility_memo_hits") - hits
+        warm_calls = registry.get("ir.feasibility_calls") - calls
+        assert warm_hits > 0
+
+        calls = registry.get("ir.feasibility_calls")
+        cold = evaluate_program_compiled(program, second)
+        cold_calls = registry.get("ir.feasibility_calls") - calls
+        # Decisions taken for the first version are reused, not retaken.
+        assert warm_calls < cold_calls
+        assert str(outcome["Reach"].formula) == str(cold["Reach"].formula)
+        assert outcome.stages == cold.stages
