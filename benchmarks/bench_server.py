@@ -148,7 +148,7 @@ def run_bench_server(
         for query in QUERIES
     ]
     config = EngineConfig.resolve(
-        cache_dir=store_dir, jobs=1, metrics_labels="on"
+        cache_dir=store_dir, jobs=1
     )
 
     cold_service = ConstraintService(

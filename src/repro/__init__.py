@@ -36,8 +36,6 @@ from repro.engine import (
     QueryEngine,
     database_fingerprint,
     default_cache,
-    invalidate_cache,
-    shared_cache,
 )
 from repro.explain import (
     ExplainResult,
@@ -58,11 +56,7 @@ from repro.obs import (
 from repro.regions.arrangement_regions import ArrangementDecomposition
 from repro.regions.nc1 import NC1Decomposition
 from repro.twosorted.structure import RegionExtension
-from repro.logic.evaluator import (
-    Evaluator,
-    evaluate_query,
-    query_truth,
-)
+from repro.logic.evaluator import Evaluator
 from repro.logic.parser import parse_query
 from repro.logic.properties import has_small_coordinate_property
 
@@ -87,8 +81,6 @@ __all__ = [
     "EngineConfig",
     "database_fingerprint",
     "default_cache",
-    "shared_cache",
-    "invalidate_cache",
     "MetricsRegistry",
     "Span",
     "TRACER",
@@ -101,8 +93,6 @@ __all__ = [
     "PlanNode",
     "explain_query",
     "explain_datalog",
-    "evaluate_query",
-    "query_truth",
     "parse_query",
     "has_small_coordinate_property",
     "__version__",

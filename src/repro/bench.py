@@ -82,12 +82,11 @@ def _git_sha() -> str | None:
 #: Metadata keys every BENCH_*.json record must carry (and, except for
 #: ``git_sha``, carry with a non-``None`` value).  ``write_record``
 #: refuses records that miss any of them, so a record without its
-#: executor/backend provenance can never be committed silently.
+#: executor provenance can never be committed silently.
 REQUIRED_METADATA = (
     "lp_mode",
     "jobs",
     "executor",
-    "backend",
     "git_sha",
     "timestamp_utc",
     "python_version",
@@ -99,9 +98,9 @@ def _metadata(jobs: int) -> dict:
 
     Computed after the measurements, so the ``store`` block reflects the
     hits/misses/writes this run performed against the active cache
-    directory (``None`` when persistence is off).  ``executor`` and
-    ``backend`` are surfaced top-level (not only inside ``config``) so
-    a record always says which fixpoint tier produced its numbers.
+    directory (``None`` when persistence is off).  ``executor`` is
+    surfaced top-level (not only inside ``config``) so a record always
+    says which fixpoint tier produced its numbers.
     """
     from repro.config import EngineConfig
     from repro.store import active_store
@@ -112,7 +111,6 @@ def _metadata(jobs: int) -> dict:
         "lp_mode": fastlp.get_lp_mode(),
         "jobs": jobs,
         "executor": config.executor,
-        "backend": config.backend,
         "optimizer": config.optimizer,
         "config": config.describe(),
         "cache_dir": str(store.root) if store is not None else None,
@@ -866,7 +864,7 @@ def write_record(record: dict, path: str) -> None:
     Every record must carry the :data:`REQUIRED_METADATA` keys (with a
     value, except ``git_sha`` which is legitimately ``None`` outside a
     git checkout) so committed BENCH_*.json files always state the
-    lp_mode/jobs/executor/backend provenance of their numbers.
+    lp_mode/jobs/executor provenance of their numbers.
     """
     metadata = record.get("metadata")
     if not isinstance(metadata, dict):

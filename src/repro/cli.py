@@ -40,7 +40,6 @@ from typing import Sequence
 from repro.errors import ReproError
 from repro.config import (
     EXECUTORS,
-    METRICS_LABELS,
     OPTIMIZERS,
     EngineConfig,
 )
@@ -411,15 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant latency objective in milliseconds; doubles as "
              "the slow-query capture threshold "
              "(default: $REPRO_SLO_LATENCY_MS, else 250)",
-    )
-    serve.add_argument(
-        "--metrics-labels",
-        choices=METRICS_LABELS,
-        default=None,
-        dest="metrics_labels",
-        help="attach tenant/endpoint/executor/lp_mode labels to "
-             "histogram series; 'off' collapses everything to unlabeled "
-             "aggregates (default: $REPRO_METRICS_LABELS, else on)",
     )
     _add_decomposition_flag(serve)
     _add_spatial_flag(serve)
@@ -993,7 +983,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         lp_mode=args.lp_mode, jobs=args.jobs, cache_dir=args.cache_dir,
         executor=args.executor, optimizer=args.optimizer,
         slow_log=args.slow_log, slo_latency_ms=args.slo_latency_ms,
-        metrics_labels=args.metrics_labels,
     )
     service = ConstraintService(
         databases,

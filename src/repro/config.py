@@ -1,30 +1,23 @@
 """`EngineConfig` — one object for every engine knob.
 
-The engine's tuning surface used to be a sprawl: constructor kwargs on
-:class:`~repro.engine.QueryEngine` (``lp_mode``, ``jobs``,
-``cache_dir``), a second set of CLI flags, and four ``REPRO_*``
-environment variables read at different times by different layers.
-This module consolidates all of it into a single frozen dataclass with
-one documented resolution order:
+Every runtime knob of the engine, the CLI and the server lives in one
+frozen dataclass with one documented resolution order:
 
     **explicit argument > environment variable > built-in default**
 
-=================  =====================  ===========================
-field              environment variable   default
-=================  =====================  ===========================
-``lp_mode``        ``REPRO_LP_MODE``      ``"filtered"``
-``jobs``           ``REPRO_JOBS``         ``1`` (sequential)
-``executor``       ``REPRO_EXECUTOR``     ``"compiled"``
-``backend``        ``REPRO_BACKEND``      ``"memory"``
-``cache_dir``      ``REPRO_CACHE_DIR``    ``None`` (no persistence)
-``cache_budget``   ``REPRO_CACHE_BUDGET``  ``None`` (unbounded)
-``journal``        ``REPRO_JOURNAL``      ``None`` (no journal sink)
-``optimizer``      ``REPRO_OPTIMIZER``    ``"on"`` (cost-based rewrites)
-``slow_log``       ``REPRO_SLOW_LOG``     ``None`` (no slow-query log)
-``slo_latency_ms``  ``REPRO_SLO_LATENCY_MS``  ``250.0`` ms objective
-``metrics_labels``  ``REPRO_METRICS_LABELS``  ``"on"`` (labeled series)
-``cache_capacity``  —                     ``64`` entries
-=================  =====================  ===========================
+=================  =========================  ===========================
+field              environment variable       default
+=================  =========================  ===========================
+``lp_mode``        ``REPRO_LP_MODE``          ``"filtered"``
+``jobs``           ``REPRO_JOBS``             ``1`` (sequential)
+``executor``       ``REPRO_EXECUTOR``         ``"compiled"``
+``cache_dir``      ``REPRO_CACHE_DIR``        ``None`` (no persistence)
+``cache_budget``   ``REPRO_CACHE_BUDGET``     ``None`` (unbounded)
+``journal``        ``REPRO_JOURNAL``          ``None`` (no journal sink)
+``optimizer``      ``REPRO_OPTIMIZER``        ``"on"`` (cost-based rewrites)
+``slow_log``       ``REPRO_SLOW_LOG``         ``None`` (no slow-query log)
+``slo_latency_ms`` ``REPRO_SLO_LATENCY_MS``   ``250.0`` ms objective
+=================  =========================  ===========================
 
 Two construction styles, for two lifetimes:
 
@@ -33,11 +26,11 @@ Two construction styles, for two lifetimes:
   config is fully pinned.  This is what the CLI, the benchmarks and the
   server use: a long-lived process should not change behaviour because
   an environment variable moved under it.
-* ``EngineConfig(...)`` with ``None`` fields keeps the legacy *deferred*
-  semantics: a ``None`` field means "consult the environment at use
-  time", exactly as the old per-kwarg plumbing did.  This is what the
-  :class:`~repro.engine.QueryEngine` deprecation shim builds, so
-  existing callers observe identical behaviour.
+* ``EngineConfig(...)`` with ``None`` fields is *deferred*: a ``None``
+  field means "consult the environment at use time".  This is what
+  ``QueryEngine(db)`` builds when given no config, and the adaptive
+  knobs of :mod:`repro.optimizer.knobs` fill the open ``lp_mode`` and
+  ``jobs`` fields from recorded statistics.
 
 Consumers::
 
@@ -65,17 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ENV_LP_MODE = "REPRO_LP_MODE"
 ENV_JOBS = "REPRO_JOBS"
 ENV_EXECUTOR = "REPRO_EXECUTOR"
-ENV_BACKEND = "REPRO_BACKEND"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_BUDGET = "REPRO_CACHE_BUDGET"
 ENV_JOURNAL = "REPRO_JOURNAL"
 ENV_OPTIMIZER = "REPRO_OPTIMIZER"
 ENV_SLOW_LOG = "REPRO_SLOW_LOG"
 ENV_SLO_LATENCY_MS = "REPRO_SLO_LATENCY_MS"
-ENV_METRICS_LABELS = "REPRO_METRICS_LABELS"
-
-#: Default in-memory LRU capacity of an :class:`~repro.engine.EngineCache`.
-DEFAULT_CACHE_CAPACITY = 64
 
 #: Fixpoint executor tiers.  ``"compiled"`` lowers datalog rule bodies
 #: and ground RegLFP stage formulas to the relational-algebra IR of
@@ -85,12 +73,6 @@ DEFAULT_CACHE_CAPACITY = 64
 #: byte-identical stage relations.
 EXECUTORS = ("compiled", "interpreted")
 
-#: Ground-fixpoint storage backends.  ``"memory"`` evaluates compiled
-#: ground (finite, region-sort) fixpoint stages with python sets;
-#: ``"sqlite"`` lowers them to SQL over a SQLite database (recursive
-#: CTEs for linear plans) for out-of-core evaluation.
-BACKENDS = ("memory", "sqlite")
-
 #: Cost-based optimizer switch.  ``"on"`` applies the answer-preserving
 #: plan rewrites of :mod:`repro.optimizer` (NNF + miniscoping, the
 #: region lift, cost-ordered conjuncts, statistics-fed knob selection)
@@ -98,33 +80,9 @@ BACKENDS = ("memory", "sqlite")
 #: oracle path the equivalence suite compares against.
 OPTIMIZERS = ("on", "off")
 
-#: Labeled-telemetry switch.  ``"on"`` lets the engine and server attach
-#: low-cardinality labels (``tenant``, ``endpoint``, ``executor``,
-#: ``lp_mode``) to histogram/gauge series; ``"off"`` keeps every series
-#: unlabeled (one aggregate per family) for minimal scrape size.
-METRICS_LABELS = ("on", "off")
-
 #: Default per-request latency objective, milliseconds.  Feeds both the
 #: per-tenant SLO burn-rate tracker and the slow-query capture threshold.
 DEFAULT_SLO_LATENCY_MS = 250.0
-
-
-def resolve_metrics_labels(metrics_labels: "str | None" = None) -> str:
-    """Effective label mode: explicit > ``REPRO_METRICS_LABELS`` > on.
-
-    The deferred twin of the ``metrics_labels`` field, mirroring
-    :func:`resolve_optimizer` for call sites that receive ``None``.
-    """
-    if metrics_labels is None:
-        metrics_labels = (
-            os.environ.get(ENV_METRICS_LABELS, "").strip().lower() or "on"
-        )
-    if metrics_labels not in METRICS_LABELS:
-        raise ValueError(
-            f"metrics_labels must be one of {METRICS_LABELS}, "
-            f"got {metrics_labels!r}"
-        )
-    return metrics_labels
 
 
 def resolve_slow_log(slow_log: "str | None" = None) -> "str | None":
@@ -168,7 +126,7 @@ def resolve_executor(executor: "str | None" = None) -> str:
     """The effective executor: explicit arg > ``REPRO_EXECUTOR`` > default.
 
     The deferred twin of the ``executor`` field for code paths that
-    receive ``None`` (legacy call sites without a config object).
+    receive ``None`` (an unresolved config field).
     """
     if executor is None:
         executor = (
@@ -181,26 +139,12 @@ def resolve_executor(executor: "str | None" = None) -> str:
     return executor
 
 
-def resolve_backend(backend: "str | None" = None) -> str:
-    """The effective backend: explicit arg > ``REPRO_BACKEND`` > default."""
-    if backend is None:
-        backend = (
-            os.environ.get(ENV_BACKEND, "").strip().lower() or "memory"
-        )
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Frozen bundle of every engine/runtime knob.
 
     ``None`` means *unresolved* (defer to the environment at use time)
-    for every field except ``cache_capacity``, which always has a
-    concrete value.  Use :meth:`resolve` to pin everything now.
+    for every field.  Use :meth:`resolve` to pin everything now.
     """
 
     #: LP tier: ``"filtered"`` or ``"exact"`` (``None`` = env at use).
@@ -212,9 +156,6 @@ class EngineConfig:
     #: set-at-a-time) or ``"interpreted"`` (per-stage AST walk, the
     #: oracle).  ``None`` = consult ``REPRO_EXECUTOR`` at use time.
     executor: str | None = None
-    #: Ground-fixpoint backend: ``"memory"`` or ``"sqlite"``
-    #: (``None`` = consult ``REPRO_BACKEND`` at use time).
-    backend: str | None = None
     #: Disk warm-start directory or a :class:`DiskStore` instance
     #: (``None`` = env at use time, which may also mean no persistence).
     cache_dir: "DiskStore | str | os.PathLike[str] | None" = None
@@ -233,11 +174,6 @@ class EngineConfig:
     #: burn-rate tracker and the slow-query capture threshold (``None``
     #: = env at use time, else :data:`DEFAULT_SLO_LATENCY_MS`).
     slo_latency_ms: float | None = None
-    #: Labeled telemetry series: ``"on"`` or ``"off"`` (``None`` =
-    #: consult ``REPRO_METRICS_LABELS`` at use time; default on).
-    metrics_labels: str | None = None
-    #: In-memory LRU capacity of the engine cache.
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
     def __post_init__(self) -> None:
         if self.lp_mode is not None and self.lp_mode not in fastlp.LP_MODES:
@@ -252,10 +188,6 @@ class EngineConfig:
                 f"executor must be one of {EXECUTORS}, "
                 f"got {self.executor!r}"
             )
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
         if self.optimizer is not None and self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZERS}, "
@@ -266,22 +198,10 @@ class EngineConfig:
                 f"slo_latency_ms must be positive milliseconds, "
                 f"got {self.slo_latency_ms!r}"
             )
-        if (
-            self.metrics_labels is not None
-            and self.metrics_labels not in METRICS_LABELS
-        ):
-            raise ValueError(
-                f"metrics_labels must be one of {METRICS_LABELS}, "
-                f"got {self.metrics_labels!r}"
-            )
         if self.cache_budget is not None and self.cache_budget <= 0:
             raise ValueError(
                 f"cache_budget must be positive bytes, "
                 f"got {self.cache_budget!r}"
-            )
-        if self.cache_capacity < 1:
-            raise ValueError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity!r}"
             )
 
     # ------------------------------------------------------------------
@@ -319,7 +239,6 @@ class EngineConfig:
         jobs = overrides.get("jobs")
         jobs = resolve_jobs(jobs if jobs is not None else None)
         executor = resolve_executor(overrides.get("executor"))
-        backend = resolve_backend(overrides.get("backend"))
         cache_dir = pick(
             "cache_dir",
             lambda: os.environ.get(ENV_CACHE_DIR, "").strip() or None,
@@ -340,25 +259,16 @@ class EngineConfig:
         slo_latency_ms = pick(
             "slo_latency_ms", _env_slo_latency_ms, DEFAULT_SLO_LATENCY_MS
         )
-        metrics_labels = resolve_metrics_labels(
-            overrides.get("metrics_labels")
-        )
-        capacity = overrides.get("cache_capacity")
-        if capacity is None:
-            capacity = DEFAULT_CACHE_CAPACITY
         return cls(
             lp_mode=lp_mode,
             jobs=jobs,
             executor=executor,
-            backend=backend,
             cache_dir=cache_dir,
             cache_budget=cache_budget,
             journal=journal,
             optimizer=optimizer,
             slow_log=slow_log,
             slo_latency_ms=slo_latency_ms,
-            metrics_labels=metrics_labels,
-            cache_capacity=capacity,
         )
 
     def with_overrides(self, **changes: Any) -> "EngineConfig":
@@ -381,11 +291,10 @@ class EngineConfig:
 
     def make_cache(self, metrics=None) -> "Any":
         """A fresh :class:`~repro.engine.EngineCache` honouring this
-        config's capacity and store pinning."""
+        config's store pinning."""
         from repro.engine import EngineCache
 
         return EngineCache(
-            capacity=self.cache_capacity,
             metrics=metrics,
             store=self.store() if self.cache_dir is not None else None,
         )
@@ -400,15 +309,12 @@ class EngineConfig:
             "lp_mode": self.lp_mode,
             "jobs": self.jobs,
             "executor": self.executor,
-            "backend": self.backend,
             "cache_dir": cache_dir,
             "cache_budget": self.cache_budget,
             "journal": self.journal,
             "optimizer": self.optimizer,
             "slow_log": self.slow_log,
             "slo_latency_ms": self.slo_latency_ms,
-            "metrics_labels": self.metrics_labels,
-            "cache_capacity": self.cache_capacity,
         }
 
 

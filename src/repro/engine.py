@@ -13,9 +13,8 @@ module adds the missing layer between the logic and the geometry:
   :meth:`RegionExtension.build <repro.twosorted.structure.\
   RegionExtension.build>` results keyed by those fingerprints, with
   hit/miss/invalidation counters in the process metrics registry.
-* :class:`QueryEngine` — the façade the rest of the library (CLI, the
-  deprecated ``evaluate_query`` / ``query_truth`` helpers, benchmarks)
-  routes through::
+* :class:`QueryEngine` — the façade the rest of the library (CLI,
+  server, benchmarks) routes through::
 
       engine = QueryEngine(db)
       answer = engine.evaluate("S(x) & x < 1")
@@ -40,7 +39,6 @@ from repro.config import EngineConfig
 from repro.constraints.database import ConstraintDatabase
 from repro.constraints.relation import ConstraintRelation
 from repro.arrangement.builder import Arrangement, build_arrangement
-from repro.deprecation import warn_once
 from repro.geometry import fastlp
 from repro.geometry.hyperplane import Hyperplane
 from repro.logic import ast
@@ -86,6 +84,10 @@ def database_fingerprint(database: ConstraintDatabase) -> str:
     return fingerprint
 
 
+#: In-memory LRU capacity of an :class:`EngineCache` (entries per map).
+DEFAULT_CACHE_CAPACITY = 64
+
+
 class EngineCache:
     """Bounded LRU cache of arrangements and region extensions.
 
@@ -101,7 +103,7 @@ class EngineCache:
 
     def __init__(
         self,
-        capacity: int = 64,
+        capacity: int = DEFAULT_CACHE_CAPACITY,
         metrics: MetricsRegistry | None = None,
         store: DiskStore | None = None,
     ) -> None:
@@ -435,38 +437,6 @@ def default_cache() -> EngineCache:
     return _DEFAULT_CACHE
 
 
-def shared_cache() -> EngineCache:
-    """Deprecated: the process-wide engine cache.
-
-    .. deprecated:: 1.2
-       Construct an :class:`EngineCache` explicitly and pass it via
-       ``QueryEngine(cache=...)`` (or use :func:`default_cache` when the
-       process default is genuinely what you want).
-    """
-    warn_once(
-        "shared_cache",
-        "shared_cache() is deprecated; pass an explicit EngineCache via "
-        "QueryEngine(cache=...) or use repro.engine.default_cache()",
-    )
-    return _DEFAULT_CACHE
-
-
-def invalidate_cache(database: ConstraintDatabase | None = None) -> None:
-    """Deprecated: invalidate the process-wide engine cache.
-
-    .. deprecated:: 1.2
-       Call :meth:`EngineCache.invalidate` on the cache you own (the
-       process default is reachable via :func:`default_cache`).
-    """
-    warn_once(
-        "invalidate_cache",
-        "invalidate_cache() is deprecated; call .invalidate() on an "
-        "explicit EngineCache (repro.engine.default_cache() for the "
-        "process default)",
-    )
-    _DEFAULT_CACHE.invalidate(database)
-
-
 @dataclass(frozen=True)
 class DeltaReport:
     """What one :meth:`QueryEngine.apply_delta` call did.
@@ -503,14 +473,10 @@ class QueryEngine:
     strings (parsed with :func:`repro.logic.parser.parse_query`).
 
     Runtime knobs arrive as one :class:`~repro.config.EngineConfig`
-    (``QueryEngine(db, config=EngineConfig.resolve(jobs=4))``).  The
-    pre-1.2 per-knob kwargs (``jobs=``, ``lp_mode=``, ``cache_dir=``)
-    still work — they are folded into an unresolved config with the
-    identical deferred-environment semantics — but are deprecated.
+    (``QueryEngine(db, config=EngineConfig.resolve(jobs=4))``).  Without
+    one the engine builds ``EngineConfig()``, whose ``None`` fields
+    consult the environment at use time.
     """
-
-    #: Sentinel distinguishing "kwarg not passed" from an explicit None.
-    _UNSET = object()
 
     def __init__(
         self,
@@ -518,39 +484,11 @@ class QueryEngine:
         decomposition: str = "arrangement",
         spatial_name: str = "S",
         cache: EngineCache | None = None,
-        jobs: "int | None" = _UNSET,
-        lp_mode: "str | None" = _UNSET,
-        cache_dir: "DiskStore | str | None" = _UNSET,
         *,
         config: EngineConfig | None = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("jobs", jobs), ("lp_mode", lp_mode), ("cache_dir", cache_dir)
-            )
-            if value is not QueryEngine._UNSET
-        }
-        if config is not None and legacy:
-            raise ValueError(
-                "pass either config=EngineConfig(...) or the legacy "
-                f"kwargs {sorted(legacy)}, not both"
-            )
         if config is None:
-            if legacy:
-                warn_once(
-                    "QueryEngine.legacy_kwargs",
-                    "QueryEngine(jobs=, lp_mode=, cache_dir=) is "
-                    "deprecated; pass config=repro.config.EngineConfig(...) "
-                    "instead",
-                )
-            # An *unresolved* config: None fields keep the historical
-            # consult-the-environment-at-use-time behaviour.
-            config = EngineConfig(
-                lp_mode=legacy.get("lp_mode"),
-                jobs=legacy.get("jobs"),
-                cache_dir=legacy.get("cache_dir"),
-            )
+            config = EngineConfig()
         self.database = database
         self.decomposition = decomposition
         self.spatial_name = spatial_name
@@ -820,7 +758,6 @@ class QueryEngine:
             self._evaluator = Evaluator(
                 self.extension,
                 executor=self.config.executor,
-                backend=self.config.backend,
             )
         return self._evaluator
 
@@ -889,19 +826,15 @@ class QueryEngine:
     def _observe_latency(self, name: str, seconds: float) -> None:
         """Record a latency observation, labeled by executor/lp_mode.
 
-        Labels honour the ``metrics_labels`` knob; with labels off the
-        family keeps one aggregate series.  One histogram observe per
-        query — negligible against evaluation cost (measured in
-        docs/OBSERVABILITY.md's overhead contract).
+        One histogram observe per query — negligible against evaluation
+        cost (measured in docs/OBSERVABILITY.md's overhead contract).
         """
-        from repro.config import resolve_executor, resolve_metrics_labels
+        from repro.config import resolve_executor
 
-        labels = None
-        if resolve_metrics_labels(self.config.metrics_labels) == "on":
-            labels = {
-                "executor": resolve_executor(self.config.executor),
-                "lp_mode": self._effective_lp_mode(),
-            }
+        labels = {
+            "executor": resolve_executor(self.config.executor),
+            "lp_mode": self._effective_lp_mode(),
+        }
         get_telemetry().histogram(name, labels).observe(seconds)
 
     def _install_collector(self, disk):
@@ -1093,7 +1026,7 @@ class QueryEngine:
 
     def stats(self) -> dict[str, object]:
         """One dict with the engine's caches and evaluator telemetry."""
-        from repro.config import resolve_backend, resolve_executor
+        from repro.config import resolve_executor
 
         registry = get_registry()
         disk = self._store()
@@ -1105,7 +1038,6 @@ class QueryEngine:
         numbers: dict[str, object] = {
             "cache": self.cache.stats(),
             "executor": resolve_executor(self.config.executor),
-            "backend": resolve_backend(self.config.backend),
             "optimizer": {
                 "enabled": self.optimizer_enabled(),
                 "stats_hits": registry.get("optimizer.stats_hits"),

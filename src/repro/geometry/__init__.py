@@ -41,8 +41,6 @@ from repro.geometry.polyhedron import Polyhedron
 from repro.geometry.simplex import (
     LPResult,
     LPStatus,
-    lp_statistics,
-    reset_lp_statistics,
     solve_lp,
 )
 from repro.geometry.vrep import VPolyhedron
@@ -65,8 +63,6 @@ __all__ = [
     "get_lp_mode",
     "lp_mode",
     "set_lp_mode",
-    "lp_statistics",
-    "reset_lp_statistics",
     "solve_lp",
     "VPolyhedron",
     "extreme_rays",

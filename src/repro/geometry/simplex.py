@@ -21,7 +21,6 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Sequence
 
-from repro.deprecation import warn_once
 from repro.errors import LPError
 from repro.geometry import fastlp
 from repro.geometry.fourier_motzkin import LinearConstraint, Rel
@@ -417,37 +416,6 @@ _LP_OPTIMIZATIONS = get_registry().counter("lp.optimizations")
 #: the counters; ``observe`` is one lock + a short bucket scan, measured
 #: against BENCH_E2 in docs/OBSERVABILITY.md's overhead contract.
 _LP_SOLVE_SECONDS = get_telemetry().histogram("lp.solve_seconds")
-
-
-def lp_statistics() -> dict[str, int]:
-    """Deprecated: counters of simplex solves and feasibility-cache hits.
-
-    Thin shim over the process-wide :class:`~repro.obs.metrics.\
-    MetricsRegistry` counters ``lp.solves`` / ``lp.cache_hits``; prefer
-    ``repro.obs.get_registry().snapshot("lp.")``.  Kept because LP calls
-    are the dominant cost of arrangement construction and the scaling
-    experiments report them alongside wall-clock time.
-    """
-    warn_once(
-        "lp_statistics",
-        "lp_statistics() is deprecated; read the 'lp.*' counters via "
-        "repro.obs.get_registry().snapshot('lp.') instead",
-    )
-    return {
-        "solves": _LP_SOLVES.value,
-        "cache_hits": _LP_CACHE_HITS.value,
-    }
-
-
-def reset_lp_statistics() -> None:
-    """Deprecated: zero the LP counters (shim over the metrics registry)."""
-    warn_once(
-        "reset_lp_statistics",
-        "reset_lp_statistics() is deprecated; use "
-        "repro.obs.metrics.reset_metrics() instead",
-    )
-    _LP_SOLVES.reset()
-    _LP_CACHE_HITS.reset()
 
 
 def clear_feasibility_cache() -> None:

@@ -11,10 +11,8 @@ The package splits into:
 * :mod:`repro.ir.executor` — plan evaluation with optional per-node
   cost profiling;
 * :mod:`repro.ir.ground` — compilation of ground (finite, region-sort)
-  RegLFP stage formulas to finite relational plans;
-* :mod:`repro.ir.sqlite` — SQL lowering of ground plans (per-stage
-  evaluation over temporary tables, plus a recursive-CTE emitter for
-  out-of-core least fixpoints).
+  RegLFP stage formulas to finite relational plans, evaluated with
+  in-memory stage sets.
 
 The executor is selected via ``EngineConfig(executor=...)`` /
 ``REPRO_EXECUTOR``; the interpreted path remains the oracle the

@@ -143,72 +143,3 @@ def _compile(node, set_var, set_env, evaluator, count) -> StepTest | None:
     # A set-variable occurrence inside a construct the skeleton cannot
     # model (element quantifier, nested fixpoint, TC, ...).
     return None
-
-
-def linear_decomposition(
-    formula: "ast.Fixpoint", evaluator, set_env: dict
-):
-    """``(base, edge)`` sets for a *linear* compiled LFP body, or ``None``.
-
-    A body is linear when it mentions the fixpoint's set variable in
-    exactly one :class:`~repro.logic.ast.SetAtom`, reached only through
-    ``RAnd`` / ``ROr`` / ``ExistsRegion`` (no negation, no universal
-    region quantifier — those evaluate the atom at several bindings, so
-    the member-wise decomposition below would be unsound).  For such a
-    body, truth at stage set ``T`` decomposes exactly as
-
-        body_T(x̄)  ⇔  body_∅(x̄) ∨ ∃t ∈ T. body_{t}(x̄)
-
-    because the single set atom either contributes (then some member
-    ``t`` alone suffices) or does not (then the empty set suffices).
-    ``base`` collects ``{x̄ : body_∅(x̄)}`` and ``edge`` the pairs
-    ``{(t, x̄) : body_{t}(x̄)}``; both are finite, so the induction
-    becomes ordinary reachability — the form
-    :mod:`repro.ir.sqlite` lowers to SQL.  ``None`` when the body is
-    not linear or not compilable.
-    """
-    occurrences = _set_atom_occurrences(formula.body, formula.set_var)
-    if occurrences != 1:
-        return None
-    test = compile_fixpoint_step(formula, evaluator, set_env)
-    if test is None:
-        return None
-    from repro.logic.fixpoint import all_region_tuples
-
-    count = evaluator.extension.region_count()
-    arity = len(formula.bound_vars)
-    universe = list(all_region_tuples(count, arity))
-    bound_vars = formula.bound_vars
-    empty: frozenset = frozenset()
-    base = {
-        candidate
-        for candidate in universe
-        if test(dict(zip(bound_vars, candidate)), empty)
-    }
-    edge = set()
-    for member in universe:
-        singleton = frozenset((member,))
-        for candidate in universe:
-            if candidate in base:
-                continue
-            if test(dict(zip(bound_vars, candidate)), singleton):
-                edge.add((member, candidate))
-    return base, edge
-
-
-def _set_atom_occurrences(node, set_var: str) -> int:
-    if isinstance(node, ast.SetAtom):
-        return 1 if node.set_var == set_var else 0
-    if isinstance(node, (ast.RNot, ast.ForallRegion)):
-        # Negation breaks positivity; a universal quantifier evaluates
-        # the atom at several bindings.  Either way the member-wise
-        # decomposition is unsound — poison the count.
-        return 1000 if set_var in node.free_set_vars() else 0
-    children = []
-    if isinstance(node, (ast.RAnd, ast.ROr)):
-        children = list(node.operands)
-    elif isinstance(node, ast.ExistsRegion):
-        children = [node.body]
-    elif set_var in node.free_set_vars():
-        return 1000
-    return sum(_set_atom_occurrences(child, set_var) for child in children)

@@ -41,7 +41,7 @@ from repro.logic.ast import (
     SubsetAtom,
     TC,
 )
-from repro.logic.evaluator import Evaluator, evaluate_query
+from repro.logic.evaluator import Evaluator
 from repro.logic.parser import parse_query
 from repro.logic.properties import (
     coordinate_bound,
@@ -73,7 +73,6 @@ __all__ = [
     "SubsetAtom",
     "TC",
     "Evaluator",
-    "evaluate_query",
     "parse_query",
     "coordinate_bound",
     "has_small_coordinate_property",

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.deprecation import warn_once
 from repro.errors import EvaluationError, UnboundVariableError
 from repro.constraints.formula import FALSE, TRUE
 from repro.constraints.relation import ConstraintRelation
-from repro.constraints.database import ConstraintDatabase
 from repro.obs.journal import JOURNAL
-from repro.obs.metrics import MetricsRegistry, MetricsView, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import TRACER
 from repro.twosorted.structure import RegionExtension
 from repro.logic import ast
@@ -115,9 +113,8 @@ class Evaluator:
         extension: RegionExtension,
         metrics: MetricsRegistry | None = None,
         executor: str | None = None,
-        backend: str | None = None,
     ) -> None:
-        from repro.config import resolve_backend, resolve_executor
+        from repro.config import resolve_executor
 
         self.extension = extension
         #: How fixpoint stage bodies are evaluated: ``"compiled"`` runs
@@ -126,11 +123,6 @@ class Evaluator:
         #: ``"interpreted"`` always uses :meth:`truth`.  Both produce
         #: identical stage sets; ``None`` defers to ``REPRO_EXECUTOR``.
         self.executor = resolve_executor(executor)
-        #: ``"sqlite"`` lowers *linear* ground LFPs to SQL over
-        #: base/edge tables (:mod:`repro.ir.sqlite`); ``"memory"`` keeps
-        #: everything in Python sets.  Stage sets are identical either
-        #: way; ``None`` defers to ``REPRO_BACKEND``.
-        self.backend = resolve_backend(backend)
         self._memo: dict[tuple, ConstraintRelation] = {}
         self._tc_memo: dict[_StructuralKey, set] = {}
         self._fixpoint_memo: dict[tuple, FixpointRun] = {}
@@ -150,27 +142,6 @@ class Evaluator:
         self._c_evaluations = self.metrics.counter("evaluations")
         self._c_memo_hits = self.metrics.counter("memo_hits")
         self._c_fixpoint_stages = self.metrics.counter("fixpoint_stages")
-        # Live mapping view over the evaluator's counters; kept for
-        # backward compatibility as the deprecated ``stats`` property.
-        self._stats_view = MetricsView(self.metrics, {
-            "evaluations": "evaluations",
-            "memo_hits": "memo_hits",
-            "fixpoint_stages": "fixpoint_stages",
-        })
-
-    @property
-    def stats(self) -> MetricsView:
-        """Deprecated: the live counter view with the old bare-dict keys.
-
-        Prefer ``evaluator.metrics.snapshot()`` (or the process registry,
-        ``repro.obs.get_registry()``).
-        """
-        warn_once(
-            "Evaluator.stats",
-            "Evaluator.stats is deprecated; use Evaluator.metrics.snapshot()"
-            " or repro.obs.get_registry() instead",
-        )
-        return self._stats_view
 
     # ------------------------------------------------------------------
     # Public API
@@ -561,32 +532,17 @@ class Evaluator:
         # complement needs re-evaluation.  IFP/PFP evaluate everything.
         keep_current = formula.kind is ast.FixKind.LFP
 
-        # Compiled / lowered per-candidate tests.  Either replacement
-        # computes exactly the set the interpreted loop below would, so
-        # the journal wrapper, the fixpoint drivers and the stage
-        # counter — everything observable — stay literally shared.
+        # The compiled per-candidate test computes exactly the set the
+        # interpreted loop below would, so the journal wrapper, the
+        # fixpoint drivers and the stage counter — everything observable
+        # — stay literally shared.
         compiled_test = None
-        lowered = None
         if self.executor == "compiled":
             from repro.ir.ground import compile_fixpoint_step
 
             compiled_test = compile_fixpoint_step(formula, self, set_env)
-            if (
-                compiled_test is not None
-                and self.backend == "sqlite"
-                and formula.kind is ast.FixKind.LFP
-            ):
-                from repro.ir.ground import linear_decomposition
-                from repro.ir.sqlite import SQLiteGroundFixpoint
-
-                decomposed = linear_decomposition(formula, self, set_env)
-                if decomposed is not None:
-                    base, edge = decomposed
-                    lowered = SQLiteGroundFixpoint(base, edge, arity)
 
         def raw_step(current: frozenset) -> frozenset:
-            if lowered is not None:
-                return lowered.step(current)
             inner_sets = dict(set_env)
             inner_sets[formula.set_var] = current
             members = list(current) if keep_current else []
@@ -628,8 +584,6 @@ class Evaluator:
             else:
                 run = partial_fixpoint(step)
             fp_span.add("stages", run.stages)
-        if lowered is not None:
-            lowered.close()
         self._c_fixpoint_stages.inc(run.stages)
         self._fixpoint_memo[memo_key] = run
         return run
@@ -705,47 +659,3 @@ class Evaluator:
                 for rank, region in enumerate(ordered)
             }
         return self._zero_dim_ranks
-
-
-def evaluate_query(
-    formula: ast.RegFormula,
-    database: ConstraintDatabase,
-    decomposition: str = "arrangement",
-    spatial_name: str = "S",
-) -> ConstraintRelation:
-    """Evaluate a closed-region-variable query against a database.
-
-    Deprecated one-line wrapper over :class:`repro.engine.QueryEngine`
-    (which caches the Theorem-3.1 construction across calls); the
-    formula may have free element variables (the query's output columns)
-    but no free region or set variables — the paper's notion of a
-    RegFO/RegLFP/RegTC *query*.
-    """
-    from repro.engine import QueryEngine
-
-    warn_once(
-        "evaluate_query",
-        "evaluate_query() is deprecated; use "
-        "repro.QueryEngine(database).evaluate(query) instead",
-    )
-    return QueryEngine(database, decomposition, spatial_name).evaluate(formula)
-
-
-def query_truth(
-    formula: ast.RegFormula,
-    database: ConstraintDatabase,
-    decomposition: str = "arrangement",
-    spatial_name: str = "S",
-) -> bool:
-    """Truth of a boolean query (no free variables of any sort).
-
-    Deprecated one-line wrapper over :class:`repro.engine.QueryEngine`.
-    """
-    from repro.engine import QueryEngine
-
-    warn_once(
-        "query_truth",
-        "query_truth() is deprecated; use "
-        "repro.QueryEngine(database).truth(query) instead",
-    )
-    return QueryEngine(database, decomposition, spatial_name).truth(formula)

@@ -3,9 +3,9 @@
 The subsystem has three layers, all with near-zero cost while idle:
 
 * :mod:`repro.obs.metrics` — named counters in (possibly nested)
-  registries; the process-wide registry aggregates everything and the
-  legacy telemetry surfaces (``lp_statistics``, ``Evaluator.stats``)
-  are live views over it.
+  registries; the process-wide registry aggregates everything
+  (``get_registry().snapshot("lp.")`` reads the LP counters,
+  ``Evaluator.metrics.snapshot()`` one evaluator's).
 * :mod:`repro.obs.tracing` — a span tree recorded by the process-wide
   :data:`TRACER`, disabled by default; ``repro profile`` and the
   ``--trace`` CLI flag turn it on around one command.
@@ -37,7 +37,6 @@ counters, open traces or journal buffers into each other.
 from repro.obs.metrics import (
     Counter,
     MetricsRegistry,
-    MetricsView,
     get_registry,
     merge_snapshot,
     metrics_snapshot,
@@ -101,7 +100,6 @@ def reset_all() -> None:
 __all__ = [
     "Counter",
     "MetricsRegistry",
-    "MetricsView",
     "get_registry",
     "merge_snapshot",
     "metrics_snapshot",

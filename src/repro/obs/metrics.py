@@ -10,10 +10,7 @@ in one place.  This module centralises it:
   have a *parent*: increments then propagate upward (with a prefix), so
   per-component registries (one per :class:`~repro.logic.evaluator.\
   Evaluator`, say) roll up into the process-wide registry while staying
-  individually resettable;
-* :class:`MetricsView` — a read-only mapping facade that renames
-  counters, used to keep legacy shapes like ``Evaluator.stats`` alive
-  as live views over the registry.
+  individually resettable.
 
 The process-wide default registry is :func:`get_registry`; the CLI's
 ``repro profile`` dumps its snapshot next to the span tree.
@@ -22,7 +19,6 @@ The process-wide default registry is :func:`get_registry`; the CLI's
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterator
 
 
 class Counter:
@@ -106,40 +102,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters)
-
-
-class MetricsView(Mapping):
-    """A live, read-only mapping over selected counters of a registry.
-
-    ``MetricsView(registry, {"solves": "lp.solves"})`` behaves like the
-    dict ``{"solves": <current value>}`` on every access, which lets
-    legacy telemetry dicts (``Evaluator.stats``, ``lp_statistics()``)
-    survive as views instead of copies.
-    """
-
-    __slots__ = ("_registry", "_mapping")
-
-    def __init__(
-        self, registry: MetricsRegistry, mapping: Mapping[str, str]
-    ) -> None:
-        self._registry = registry
-        self._mapping = dict(mapping)
-
-    def __getitem__(self, key: str) -> int:
-        return self._registry.get(self._mapping[key])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._mapping)
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def snapshot(self) -> dict[str, int]:
-        """A detached plain-dict copy of the current values."""
-        return dict(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MetricsView({dict(self)})"
 
 
 #: The process-wide default registry.

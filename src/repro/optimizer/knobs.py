@@ -19,9 +19,9 @@ The statistics tiers:
 * **jobs** — fed by the mean observed face count per run under
   ``global:arrangement``: parallel arrangement construction only
   amortises its process startup on big arrangements.
-* **executor/backend** — the compiled set-at-a-time tier is the
-  measured default (E15: ≥5× on deep fixpoints); sqlite is opt-in via
-  environment or explicit config only.
+* **executor** — the compiled set-at-a-time tier is the measured
+  default (E15: ≥5× on deep fixpoints); the interpreted oracle is
+  opt-in via environment or explicit config only.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def choose_knobs(
         _choose_lp_mode(config, stats),
         _choose_jobs(config, stats),
         _choose_executor(config),
-        _choose_backend(config),
     ]
 
 
@@ -189,21 +188,4 @@ def _choose_executor(config) -> KnobDecision:
         "compiled",
         "set-at-a-time IR executor is the measured default "
         "(E15: >=5x on deep fixpoints)",
-    )
-
-
-def _choose_backend(config) -> KnobDecision:
-    if config.backend is not None:
-        return KnobDecision(
-            "backend", config.backend, "explicit configuration"
-        )
-    env = _env(config_mod.ENV_BACKEND)
-    if env is not None:
-        return KnobDecision(
-            "backend", env.lower(), f"{config_mod.ENV_BACKEND} environment"
-        )
-    return KnobDecision(
-        "backend",
-        "memory",
-        "in-memory stage sets; sqlite is opt-in for out-of-core runs",
     )

@@ -55,9 +55,7 @@ from typing import Any, Awaitable, Callable, Mapping
 from repro.errors import ReproError
 from repro.config import (
     EngineConfig,
-    resolve_backend,
     resolve_executor,
-    resolve_metrics_labels,
     resolve_optimizer,
     resolve_slo_latency_ms,
     resolve_slow_log,
@@ -148,9 +146,6 @@ class ConstraintService:
         self.telemetry = (
             telemetry if telemetry is not None else get_telemetry()
         )
-        self._labels_on = (
-            resolve_metrics_labels(self.config.metrics_labels) == "on"
-        )
         #: Per-tenant SLO burn-rate tracking; the latency objective
         #: doubles as the slow-query capture threshold.
         self.slo = SloTracker(
@@ -227,14 +222,10 @@ class ConstraintService:
             wall_s = time.perf_counter() - started
             # The endpoint label comes from the route table, never the
             # raw path — an unmatched path must not mint a new series.
-            labels = None
-            if self._labels_on:
-                labels = {
-                    "tenant": tenant,
-                    "endpoint": (
-                        request.path if route is not None else "unknown"
-                    ),
-                }
+            labels = {
+                "tenant": tenant,
+                "endpoint": request.path if route is not None else "unknown",
+            }
             self.telemetry.histogram(
                 "server.request_seconds", labels
             ).observe(wall_s)
@@ -589,7 +580,6 @@ class ConstraintService:
             "config": self.config.describe(),
             "lp_mode": self.config.lp_mode or fastlp.get_lp_mode(),
             "executor": resolve_executor(self.config.executor),
-            "backend": resolve_backend(self.config.backend),
             "optimizer": resolve_optimizer(self.config.optimizer),
             "admission": self.admission.stats(),
             "pool": self.pool.stats(),

@@ -3,7 +3,7 @@
 ``EngineConfig.resolve`` pins **explicit argument > environment >
 default** once, at construction; a plain ``EngineConfig(...)`` keeps
 ``None`` fields unresolved (environment consulted at use time), which
-is the contract the ``QueryEngine`` legacy-kwarg shim relies on.
+is what ``QueryEngine(db)`` builds when given no config.
 """
 
 from __future__ import annotations
@@ -19,9 +19,15 @@ from repro.config import (
     ENV_JOBS,
     ENV_JOURNAL,
     ENV_LP_MODE,
-    DEFAULT_CACHE_CAPACITY,
     EngineConfig,
 )
+from repro.engine import DEFAULT_CACHE_CAPACITY
+
+#: The whole configuration surface, in declaration order.
+CONFIG_FIELDS = [
+    "lp_mode", "jobs", "executor", "cache_dir", "cache_budget",
+    "journal", "optimizer", "slow_log", "slo_latency_ms",
+]
 
 
 @pytest.fixture
@@ -39,7 +45,8 @@ def test_resolve_defaults(clean_env):
     assert config.cache_dir is None
     assert config.cache_budget is None
     assert config.journal is None
-    assert config.cache_capacity == DEFAULT_CACHE_CAPACITY
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == CONFIG_FIELDS
+    assert list(config.describe()) == CONFIG_FIELDS
 
 
 def test_resolve_reads_environment(clean_env, tmp_path):
@@ -54,6 +61,10 @@ def test_resolve_reads_environment(clean_env, tmp_path):
     assert config.cache_dir == str(tmp_path)
     assert config.cache_budget == 4096
     assert config.journal == "events.jsonl"
+    # Variables of removed knobs are not read at all.
+    clean_env.setenv("REPRO_BACKEND", "sqlite")
+    clean_env.setenv("REPRO_METRICS_LABELS", "off")
+    assert EngineConfig.resolve() == config
 
 
 def test_explicit_argument_beats_environment(clean_env, tmp_path):
@@ -82,6 +93,14 @@ def test_frozen_and_with_overrides(clean_env):
 def test_unknown_field_rejected(clean_env):
     with pytest.raises(TypeError, match="unknown EngineConfig field"):
         EngineConfig.resolve(worker_count=4)
+    with pytest.raises(TypeError, match="unknown EngineConfig field"):
+        EngineConfig.resolve(metrics_labels="on")
+    with pytest.raises(TypeError, match="unknown EngineConfig field"):
+        EngineConfig.resolve(cache_capacity=3)
+    with pytest.raises(TypeError):
+        EngineConfig(backend="memory")
+    with pytest.raises(TypeError):
+        QueryEngine(_interval_db(), jobs=2)
 
 
 def test_validation_matches_engine_contract(clean_env):
@@ -91,8 +110,6 @@ def test_validation_matches_engine_contract(clean_env):
         EngineConfig(jobs=0)
     with pytest.raises(ValueError, match="cache_budget must be positive"):
         EngineConfig(cache_budget=-1)
-    with pytest.raises(ValueError, match="cache_capacity must be >= 1"):
-        EngineConfig(cache_capacity=0)
 
 
 def _interval_db() -> ConstraintDatabase:
@@ -110,21 +127,6 @@ def test_engine_accepts_config(clean_env):
     assert not engine.evaluate("S(x0)").is_empty()
 
 
-def test_engine_rejects_config_plus_legacy_kwargs(clean_env):
-    with pytest.raises(ValueError, match="config"):
-        QueryEngine(
-            _interval_db(), config=EngineConfig.resolve(), jobs=2
-        )
-
-
-def test_legacy_kwargs_warn_but_work(clean_env):
-    with pytest.deprecated_call():
-        engine = QueryEngine(_interval_db(), jobs=2)
-    assert engine.jobs == 2
-    # The shim keeps env-at-use-time semantics for unset knobs.
-    assert engine.config.lp_mode is None
-
-
 def test_store_pins_explicit_budget(clean_env, tmp_path):
     config = EngineConfig.resolve(
         cache_dir=str(tmp_path / "store"), cache_budget=1 << 20
@@ -135,9 +137,9 @@ def test_store_pins_explicit_budget(clean_env, tmp_path):
 
 
 def test_make_cache_honours_capacity(clean_env):
-    config = EngineConfig.resolve(cache_capacity=3)
+    config = EngineConfig.resolve()
     cache = config.make_cache()
-    assert cache.capacity == 3
+    assert cache.capacity == DEFAULT_CACHE_CAPACITY
 
 
 def test_describe_is_json_ready(clean_env, tmp_path):
@@ -150,73 +152,71 @@ def test_describe_is_json_ready(clean_env, tmp_path):
 
 
 def test_resolve_executor_precedence(clean_env):
-    from repro.config import (
-        BACKENDS,
-        ENV_BACKEND,
-        ENV_EXECUTOR,
-        EXECUTORS,
-        resolve_backend,
-        resolve_executor,
-    )
+    from repro.config import ENV_EXECUTOR, EXECUTORS, resolve_executor
 
     clean_env.delenv(ENV_EXECUTOR, raising=False)
-    clean_env.delenv(ENV_BACKEND, raising=False)
     assert EXECUTORS == ("compiled", "interpreted")
-    assert BACKENDS == ("memory", "sqlite")
     # Defaults.
     assert resolve_executor() == "compiled"
-    assert resolve_backend() == "memory"
     # Environment beats the default (case/whitespace normalised).
     clean_env.setenv(ENV_EXECUTOR, " Interpreted ")
-    clean_env.setenv(ENV_BACKEND, "SQLITE")
     assert resolve_executor() == "interpreted"
-    assert resolve_backend() == "sqlite"
     # Explicit argument beats the environment.
     assert resolve_executor("compiled") == "compiled"
-    assert resolve_backend("memory") == "memory"
     # Invalid values are rejected from every source.
     with pytest.raises(ValueError, match="executor must be one of"):
         resolve_executor("jitted")
-    with pytest.raises(ValueError, match="backend must be one of"):
-        resolve_backend("postgres")
     clean_env.setenv(ENV_EXECUTOR, "jitted")
     with pytest.raises(ValueError, match="executor must be one of"):
         resolve_executor()
 
 
 def test_config_resolves_and_describes_executor(clean_env):
-    from repro.config import ENV_BACKEND, ENV_EXECUTOR
+    from repro.config import ENV_EXECUTOR
 
     clean_env.delenv(ENV_EXECUTOR, raising=False)
-    clean_env.delenv(ENV_BACKEND, raising=False)
     config = EngineConfig.resolve()
     assert config.executor == "compiled"
-    assert config.backend == "memory"
-    pinned = EngineConfig.resolve(executor="interpreted", backend="sqlite")
+    pinned = EngineConfig.resolve(executor="interpreted")
     assert pinned.executor == "interpreted"
-    assert pinned.backend == "sqlite"
     described = pinned.describe()
     assert described["executor"] == "interpreted"
-    assert described["backend"] == "sqlite"
+    assert "backend" not in described
     # A resolved config never re-reads the environment.
     clean_env.setenv(ENV_EXECUTOR, "interpreted")
     assert config.executor == "compiled"
     with pytest.raises(ValueError, match="executor must be one of"):
         EngineConfig(executor="jitted")
-    with pytest.raises(ValueError, match="backend must be one of"):
-        EngineConfig(backend="postgres")
 
 
 def test_engine_stats_report_executor(clean_env):
-    from repro.config import ENV_BACKEND, ENV_EXECUTOR
+    from repro.config import ENV_EXECUTOR
 
     clean_env.delenv(ENV_EXECUTOR, raising=False)
-    clean_env.delenv(ENV_BACKEND, raising=False)
     engine = QueryEngine(
         _interval_db(),
         config=EngineConfig.resolve(executor="interpreted"),
     )
     stats = engine.stats()
     assert stats["executor"] == "interpreted"
-    assert stats["backend"] == "memory"
+    assert "backend" not in stats
     assert engine.evaluator.executor == "interpreted"
+
+
+def test_explain_lists_only_kept_knobs(clean_env, tmp_path):
+    import io
+
+    from repro.cli import main
+    from repro.constraints.io import save_database
+
+    clean_env.delenv("REPRO_OPTIMIZER", raising=False)
+    path = tmp_path / "db.cdb"
+    save_database(_interval_db(), path)
+    buffer = io.StringIO()
+    assert main(["explain", str(path), "exists x0. S(x0)"], out=buffer) == 0
+    knobs = [
+        line.split("knob ", 1)[1].split()[0]
+        for line in buffer.getvalue().splitlines()
+        if "knob " in line
+    ]
+    assert knobs == ["lp_mode", "jobs", "executor"]

@@ -192,10 +192,10 @@ class TestProfileCommand:
         return json.loads(output)
 
     def test_golden_span_tree_shape(self, one_dim_file):
-        from repro.engine import invalidate_cache
+        from repro.engine import default_cache
         from repro.geometry.simplex import clear_feasibility_cache
 
-        invalidate_cache()                 # force a cold build ...
+        default_cache().invalidate()       # force a cold build ...
         clear_feasibility_cache()          # ... with real LP solves
         payload = self.run_profile(one_dim_file, "exists x. S(x)")
 
@@ -239,9 +239,9 @@ class TestProfileCommand:
         assert metrics["evaluator.evaluations"] > 0
 
     def test_second_profile_hits_the_cache(self, one_dim_file):
-        from repro.engine import invalidate_cache
+        from repro.engine import default_cache
 
-        invalidate_cache()
+        default_cache().invalidate()
         cold = self.run_profile(one_dim_file, "exists x. S(x)")
         warm = self.run_profile(one_dim_file, "exists x. S(x)")
         assert cold["metrics"]["engine.cache.extension.misses"] == 1

@@ -1,24 +1,18 @@
-"""Ground fixpoint compilation and the SQLite lowering.
+"""Ground fixpoint compilation.
 
-Three executor paths exist for a RegLFP induction — the interpreted
-per-candidate loop, the compiled boolean-skeleton closures of
-:mod:`repro.ir.ground`, and (for linear ground LFP bodies) the SQL
-step of :mod:`repro.ir.sqlite`.  All three share the same fixpoint
-driver, journal wrapper and stage counter, so they must agree not just
-on truth values but on the exact stage-set sequence.  These tests pin
-that down directly at the :meth:`Evaluator.fixpoint_run` level, check
-the linearity analysis's soundness guards (negation and universal
-region quantification poison the member-wise decomposition), and
-validate the ``WITH RECURSIVE`` out-of-core form against the staged
-result.
+Two executor paths exist for a RegLFP induction — the interpreted
+per-candidate loop and the compiled boolean-skeleton closures of
+:mod:`repro.ir.ground`.  Both share the same fixpoint driver, journal
+wrapper and stage counter, so they must agree not just on truth values
+but on the exact stage-set sequence.  These tests pin that down
+directly at the :meth:`Evaluator.fixpoint_run` level.
 """
 
 import dataclasses
 
 from repro.constraints.database import ConstraintDatabase
 from repro.constraints.parser import parse_formula
-from repro.ir.ground import compile_fixpoint_step, linear_decomposition
-from repro.ir.sqlite import SQLiteGroundFixpoint
+from repro.ir.ground import compile_fixpoint_step
 from repro.logic import ast
 from repro.logic.evaluator import Evaluator
 from repro.logic.parser import parse_query
@@ -60,12 +54,11 @@ def find_fixpoint(node):
 
 
 def evaluators(database):
-    """(interpreted, compiled, compiled+sqlite) over one extension."""
+    """(interpreted, compiled) over one extension."""
     extension = RegionExtension.build(database)
     return (
         Evaluator(extension, executor="interpreted"),
         Evaluator(extension, executor="compiled"),
-        Evaluator(extension, executor="compiled", backend="sqlite"),
     )
 
 
@@ -82,15 +75,14 @@ class TestExecutorEquivalence:
             ("TOUCHING", TOUCHING),
         ):
             query = parse_query(CONN_1D)
-            interpreted, compiled, lowered = evaluators(database)
-            truths = [ev.truth(query) for ev in (interpreted, compiled, lowered)]
-            assert truths == [expected[name]] * 3, name
+            interpreted, compiled = evaluators(database)
+            truths = [ev.truth(query) for ev in (interpreted, compiled)]
+            assert truths == [expected[name]] * 2, name
             stages = [
                 ev.metrics.get("fixpoint_stages")
-                for ev in (interpreted, compiled, lowered)
+                for ev in (interpreted, compiled)
             ]
             assert stages[1] == stages[0], name
-            assert stages[2] == stages[0], name
 
     def test_fixpoint_run_sets_identical(self):
         formula = find_fixpoint(parse_query(CONN_1D))
@@ -99,9 +91,7 @@ class TestExecutorEquivalence:
                 ev.fixpoint_run(formula) for ev in evaluators(database)
             ]
             assert runs[1].result == runs[0].result
-            assert runs[2].result == runs[0].result
             assert runs[1].stages == runs[0].stages
-            assert runs[2].stages == runs[0].stages
 
     def test_fixpoint_journal_events_identical(self):
         formula = find_fixpoint(parse_query(CONN_1D))
@@ -123,7 +113,6 @@ class TestExecutorEquivalence:
             ])
         assert events[0], "expected fixpoint.stage events"
         assert events[1] == events[0]
-        assert events[2] == events[0]
 
     def test_out_of_fragment_body_falls_back_silently(self):
         # An element quantifier over the set variable is outside the
@@ -135,128 +124,7 @@ class TestExecutorEquivalence:
         )
         formula = find_fixpoint(parse_query(query))
         for database in (INTERVAL, TWO_INTERVALS):
-            interpreted, compiled, lowered = evaluators(database)
+            interpreted, compiled = evaluators(database)
             assert compile_fixpoint_step(formula, compiled, {}) is None
             parsed = parse_query(query)
             assert compiled.truth(parsed) == interpreted.truth(parsed)
-            assert lowered.truth(parsed) == interpreted.truth(parsed)
-
-
-class TestLinearDecomposition:
-    def test_conn_body_is_linear_and_closure_matches(self):
-        formula = find_fixpoint(parse_query(CONN_1D))
-        extension = RegionExtension.build(TOUCHING)
-        evaluator = Evaluator(extension, executor="compiled")
-        decomposed = linear_decomposition(formula, evaluator, {})
-        assert decomposed is not None
-        base, edge = decomposed
-        assert base
-        # Reachability closure of (base, edge) computed in plain Python
-        # equals the evaluator's LFP result.
-        reached = set(base)
-        frontier = set(base)
-        while frontier:
-            nxt = {
-                target
-                for member, target in edge
-                if member in frontier and target not in reached
-            }
-            reached |= nxt
-            frontier = nxt
-        run = evaluator.fixpoint_run(formula)
-        assert frozenset(reached) == run.result
-
-    def test_edge_excludes_base_rows(self):
-        formula = find_fixpoint(parse_query(CONN_1D))
-        evaluator = Evaluator(
-            RegionExtension.build(TOUCHING), executor="compiled"
-        )
-        base, edge = linear_decomposition(formula, evaluator, {})
-        assert all(target not in base for _, target in edge)
-
-    def test_universal_region_quantifier_poisons(self):
-        # ∀Z.M(R) evaluates the set atom at several bindings; the
-        # member-wise decomposition would be unsound, so the analysis
-        # must bail even though the body compiles fine.
-        query = "exists X. [lfp M(R). sub(R, S) | (forall Z. M(R))](X)"
-        formula = find_fixpoint(parse_query(query))
-        evaluator = Evaluator(
-            RegionExtension.build(INTERVAL), executor="compiled"
-        )
-        assert compile_fixpoint_step(formula, evaluator, {}) is not None
-        assert linear_decomposition(formula, evaluator, {}) is None
-
-    def test_negation_poisons(self):
-        # PFP admits negated set atoms; linearity analysis must refuse.
-        query = "exists X. [pfp M(R). !M(R)](X)"
-        formula = find_fixpoint(parse_query(query))
-        evaluator = Evaluator(
-            RegionExtension.build(INTERVAL), executor="compiled"
-        )
-        assert linear_decomposition(formula, evaluator, {}) is None
-
-    def test_nonlinear_body_declines(self):
-        # Two set atoms: not linear, even though both are positive.
-        query = "exists X. [lfp M(R). M(R) | (M(R) & sub(R, S))](X)"
-        formula = find_fixpoint(parse_query(query))
-        evaluator = Evaluator(
-            RegionExtension.build(INTERVAL), executor="compiled"
-        )
-        assert linear_decomposition(formula, evaluator, {}) is None
-
-
-class TestSQLiteGroundFixpoint:
-    BASE = {(0,), (1,)}
-    EDGE = {((0,), (2,)), ((2,), (3,)), ((5,), (6,))}
-
-    def python_closure(self):
-        reached = set(self.BASE)
-        changed = True
-        while changed:
-            changed = False
-            for member, target in self.EDGE:
-                if member in reached and target not in reached:
-                    reached.add(target)
-                    changed = True
-        return frozenset(reached)
-
-    def test_step_sequence_matches_python(self):
-        with SQLiteGroundFixpoint(self.BASE, self.EDGE, 1) as lowered:
-            current = frozenset()
-            seen = []
-            while True:
-                nxt = lowered.step(current)
-                if nxt == current:
-                    break
-                seen.append(nxt)
-                current = nxt
-            assert current == self.python_closure()
-            # Stage 1 is exactly the base; stages are monotone.
-            assert seen[0] == frozenset(self.BASE)
-            for earlier, later in zip(seen, seen[1:]):
-                assert earlier < later
-
-    def test_recursive_cte_matches_staged_result(self):
-        with SQLiteGroundFixpoint(self.BASE, self.EDGE, 1) as lowered:
-            assert lowered.run_recursive_cte() == self.python_closure()
-            sql = lowered.recursive_cte_sql()
-            assert "WITH RECURSIVE" in sql
-
-    def test_binary_arity(self):
-        base = {(0, 1)}
-        edge = {((0, 1), (1, 2)), ((1, 2), (2, 3))}
-        with SQLiteGroundFixpoint(base, edge, 2) as lowered:
-            current = frozenset()
-            while True:
-                nxt = lowered.step(current)
-                if nxt == current:
-                    break
-                current = nxt
-            assert current == {(0, 1), (1, 2), (2, 3)}
-            assert lowered.run_recursive_cte() == current
-
-    def test_rejects_zero_arity(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            SQLiteGroundFixpoint(set(), set(), 0)

@@ -94,18 +94,6 @@ class TestMetricsEndpoint:
         assert 'endpoint="unknown"' in text
         assert "bogus" not in text, "raw paths must never mint series"
 
-    def test_labels_off_collapses_to_unlabeled_series(self):
-        service = _service(config=EngineConfig(metrics_labels="off"))
-        _call(service, _request(
-            "POST", "/v1/query", b'{"query": "S(x0)"}',
-            headers={"x-repro-tenant": "acme"},
-        ))
-        text = _call(service, _request("GET", "/metrics")).text
-        assert 'tenant="acme"' not in text
-        # The scrape renders before observing itself: one unlabeled
-        # observation from the query request.
-        assert "repro_server_request_seconds_count 1" in text
-
     def test_method_is_enforced(self):
         service = _service()
         response = _call(service, _request("POST", "/metrics"))

@@ -14,6 +14,7 @@ import pytest
 from repro.arrangement.builder import build_arrangement
 from repro.constraints.io import parse_formula
 from repro.constraints.relation import ConstraintRelation
+from repro.config import EngineConfig
 from repro.engine import EngineCache, QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.store import codec
@@ -102,7 +103,7 @@ def test_corrupt_result_never_changes_query_answers(tmp_path, damage):
         engine = QueryEngine(
             database,
             cache=EngineCache(metrics=MetricsRegistry()),
-            cache_dir=store,
+            config=EngineConfig(cache_dir=store),
         )
         return engine.evaluate(query), engine.truth("exists x. S(x)")
 
