@@ -3,24 +3,39 @@
 Theorem 3.1 cites the classical O(n^d) bound for arrangements, obtained
 by *incremental insertion* (Edelsbrunner, Theorem 7.6): hyperplanes are
 added one at a time and each insertion refines only the faces the new
-hyperplane actually meets.  This module implements that scheme on the
-sign-vector representation:
+hyperplane actually meets — its *zone*.  This module implements that
+scheme on the sign-vector representation:
 
-adding hyperplane h to an arrangement with faces F splits every face
-f ∈ F into up to three faces — the parts strictly above h, on h, and
-strictly below h — each of which is non-empty exactly when the
-corresponding extension of f's sign vector is feasible.  The inherited
-witness of f decides one extension for free; at most two LPs per
-existing face are needed, so an insertion costs O(|F|) LP calls and the
-whole construction is output-sensitive.
+adding hyperplane h to an arrangement with faces F splits a face f ∈ F
+into the parts strictly above h, on h and strictly below h, or leaves
+it whole.  A relatively open convex face that meets h without lying in
+it has points on both sides, so it splits into all three children or
+none; the child on h is one dimension lower.  Which faces split is read
+off the face lattice of the current state without any LP
+(:func:`~repro.arrangement.adjacency.facets_of_faces`,
+:func:`~repro.arrangement.adjacency.face_boundedness`):
+
+* a 0-face is a point and takes its witness's side;
+* a bounded face is the relative interior of the convex hull of the
+  0-faces in its closure, so when all of those lie strictly on one
+  side of h the face misses h (decided bottom-up over facets);
+* every other face — the zone, plus the unbounded faces the lattice
+  cannot decide — keeps the witness's side for free and pays at most
+  two exact LPs for the other two children.
+
+An insertion therefore solves LPs only for the zone and the unbounded
+faces; each solve avoided is counted on ``arrangement.lp_skipped``.
+Face dimensions are carried along (the child on h of a split face
+loses one) instead of being re-derived by rank when freezing.
 
 Retraction (:meth:`IncrementalArrangement.retract`) is the inverse
-walk: dropping h's sign column merges the up-to-three children of every
-face back into one, keeping the first surviving witness and
-re-certifying it against the remaining sign constraints (exact
-arithmetic first, an LP re-derivation only if certification fails).
-An insert followed by a retract of the same hyperplane restores the
-exact face set.
+walk: dropping h's sign column merges the three children of every
+split face back into one, keeping the first child's witness and the
+largest dimension.  Only merged faces re-certify their witness against
+the remaining sign constraints (exact arithmetic first, an LP
+re-derivation only if certification fails); a face that h never split
+is the same point set and keeps its witness.  An insert followed by a
+retract of the same hyperplane restores the exact face set.
 
 The face lattice — hyperplanes, sign vectors, dimensions, in/out
 classification — is identical to what the batch builder produces (the
@@ -34,6 +49,7 @@ certification, never through witness equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,6 +60,7 @@ from repro.geometry.simplex import strict_feasible_point
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.constraints.relation import ConstraintRelation
+from repro.arrangement.adjacency import face_boundedness, facets_of_faces
 from repro.arrangement.builder import Arrangement
 
 #: Incremental-mutation telemetry.  The *shared* family
@@ -62,10 +79,10 @@ _RECERTIFICATIONS = get_registry().counter(
 )
 _BUILDS = get_registry().counter("arrangement.builds")
 _FACES = get_registry().counter("arrangement.faces")
+_LP_SKIPPED = get_registry().counter("arrangement.lp_skipped")
 from repro.arrangement.faces import (
     Face,
     SignVector,
-    face_dimension,
     sign_vector_constraints,
 )
 from repro.arrangement.hyperplanes import hyperplanes_of_relation
@@ -79,9 +96,10 @@ class IncrementalArrangement:
             raise GeometryError("dimension must be positive")
         self.dimension = dimension
         self.hyperplanes: list[Hyperplane] = []
-        # Parallel lists: sign vectors and their witness points.
+        # Parallel lists: sign vectors, witness points, dimensions.
         self._signs: list[SignVector] = [()]
         self._witnesses: list[Vector] = [(Fraction(0),) * dimension]
+        self._dims: list[int] = [dimension]
 
     def __len__(self) -> int:
         return len(self._signs)
@@ -111,15 +129,26 @@ class IncrementalArrangement:
             return self._insert_new(hyperplane)
 
     def _insert_new(self, hyperplane: Hyperplane) -> int:
+        sides = [int(hyperplane.side_of(w)) for w in self._witnesses]
+        whole = self._stays_whole(sides)
         new_signs: list[SignVector] = []
         new_witnesses: list[Vector] = []
+        new_dims: list[int] = []
         created = 0
-        for signs, witness in zip(self._signs, self._witnesses):
+        skipped = 0
+        for signs, witness, dim, witness_sign, keep in zip(
+            self._signs, self._witnesses, self._dims, sides, whole
+        ):
+            if keep:
+                new_signs.append(signs + (witness_sign,))
+                new_witnesses.append(witness)
+                new_dims.append(dim)
+                skipped += 2
+                continue
             base_system = sign_vector_constraints(
                 self.hyperplanes, signs
             )
-            witness_sign = int(hyperplane.side_of(witness))
-            survivors = 0
+            children: list[tuple[int, Vector]] = []
             for sign in (-1, 0, 1):
                 if sign == witness_sign:
                     child_witness: Vector | None = witness
@@ -128,17 +157,60 @@ class IncrementalArrangement:
                     child_witness = strict_feasible_point(
                         base_system + extra, self.dimension
                     )
-                if child_witness is None:
-                    continue
+                if child_witness is not None:
+                    children.append((sign, child_witness))
+            split = len(children) > 1
+            for sign, child_witness in children:
                 new_signs.append(signs + (sign,))
                 new_witnesses.append(child_witness)
-                survivors += 1
-            created += survivors - 1
+                new_dims.append(dim - 1 if split and sign == 0 else dim)
+            created += len(children) - 1
         self.hyperplanes.append(hyperplane)
         self._signs = new_signs
         self._witnesses = new_witnesses
+        self._dims = new_dims
         _SPLIT_FACES.inc(created)
+        _LP_SKIPPED.inc(skipped)
         return created
+
+    def _stays_whole(self, sides: Sequence[int]) -> list[bool]:
+        """Entry ``i``: does face ``i`` provably not split on the new plane?
+
+        ``sides`` holds each witness's side of the plane.  A 0-face is
+        a point and never splits.  A bounded face of higher dimension
+        misses the plane when every 0-face of its closure lies strictly
+        on the witness's side; bottom-up, that holds when it holds for
+        every facet (the closure's 0-faces are the union of the
+        facets').  Unbounded faces are never decided here.
+        """
+        faces = [
+            Face(position, signs, dim, witness, False)
+            for position, (signs, witness, dim) in enumerate(
+                zip(self._signs, self._witnesses, self._dims)
+            )
+        ]
+        facets = facets_of_faces(faces)
+        bounded = face_boundedness(faces, facets)
+        # Entry i: the side every closure 0-face of face i lies strictly
+        # on, or 0 when there is none (or the face is unbounded).
+        strict_side = [0] * len(faces)
+        for position in sorted(
+            range(len(faces)), key=self._dims.__getitem__
+        ):
+            if not bounded[position]:
+                continue
+            if self._dims[position] == 0:
+                strict_side[position] = sides[position]
+                continue
+            below = {strict_side[j] for j in facets[position]}
+            if len(below) == 1:
+                strict_side[position] = below.pop()
+        return [
+            dim == 0 or (side != 0 and side == witness_side)
+            for dim, side, witness_side in zip(
+                self._dims, strict_side, sides
+            )
+        ]
 
     def insert_all(self, hyperplanes: Sequence[Hyperplane]) -> None:
         for hyperplane in hyperplanes:
@@ -180,21 +252,23 @@ class IncrementalArrangement:
             return self._retract_unique(index)
 
     def _retract_unique(self, index: int) -> int:
-        merged: dict[SignVector, Vector] = {}
-        for signs, witness in zip(self._signs, self._witnesses):
+        merged: dict[SignVector, list[int]] = {}
+        for position, signs in enumerate(self._signs):
             reduced = signs[:index] + signs[index + 1:]
-            if reduced not in merged:
-                merged[reduced] = witness
+            merged.setdefault(reduced, []).append(position)
         removed = len(self._signs) - len(merged)
         planes = self.hyperplanes
         new_signs: list[SignVector] = []
         new_witnesses: list[Vector] = []
-        for reduced, witness in merged.items():
-            certified = all(
+        new_dims: list[int] = []
+        for reduced, members in merged.items():
+            witness = self._witnesses[members[0]]
+            # A face the plane never split is the same point set, so
+            # only a merged face's kept witness needs re-certifying.
+            if len(members) > 1 and not all(
                 int(plane.side_of(witness)) == sign
                 for plane, sign in zip(planes, reduced)
-            )
-            if not certified:
+            ):
                 _RECERTIFICATIONS.inc()
                 system = sign_vector_constraints(planes, reduced)
                 witness = strict_feasible_point(system, self.dimension)
@@ -205,8 +279,10 @@ class IncrementalArrangement:
                     )
             new_signs.append(reduced)
             new_witnesses.append(witness)
+            new_dims.append(max(self._dims[m] for m in members))
         self._signs = new_signs
         self._witnesses = new_witnesses
+        self._dims = new_dims
         _MERGED_FACES.inc(removed)
         return removed
 
@@ -221,7 +297,7 @@ class IncrementalArrangement:
         permutation of the current planes.
         """
         target = list(hyperplanes)
-        if sorted(map(str, target)) != sorted(map(str, self.hyperplanes)):
+        if Counter(target) != Counter(self.hyperplanes):
             raise GeometryError(
                 "reorder target is not a permutation of the arrangement"
             )
@@ -250,6 +326,7 @@ class IncrementalArrangement:
         incremental.hyperplanes = list(arrangement.hyperplanes)
         incremental._signs = [face.signs for face in arrangement.faces]
         incremental._witnesses = [face.sample for face in arrangement.faces]
+        incremental._dims = [face.dimension for face in arrangement.faces]
         return incremental
 
     def to_arrangement(
@@ -274,13 +351,13 @@ class IncrementalArrangement:
         )
         faces = []
         for position, i in enumerate(order):
-            signs = self._signs[i]
             witness = self._witnesses[i]
-            dim = face_dimension(planes, signs, self.dimension)
             inside = (
                 relation.contains(witness) if relation is not None else False
             )
-            faces.append(Face(position, signs, dim, witness, inside))
+            faces.append(
+                Face(position, self._signs[i], self._dims[i], witness, inside)
+            )
         _BUILDS.inc()
         _FACES.inc(len(faces))
         return Arrangement(self.dimension, planes, tuple(faces), relation)

@@ -5,9 +5,11 @@ planes; rebuilding A(S) from scratch re-pays the whole O(n^d)
 construction.  :class:`MaintainedArrangements` keeps an
 :class:`~repro.arrangement.incremental.IncrementalArrangement` per
 relation lineage and applies the plane *difference* — inserting new
-planes (O(|F|) LP calls each, Edelsbrunner's incremental bound) and
-retracting removed ones (face re-merge, no LPs on the happy path) —
-then reorders the sign columns to the canonical plane order, so the
+planes (exact LPs only for the plane's zone and the unbounded faces;
+every other face is decided from the face lattice) and retracting
+removed ones (face re-merge; only merged faces re-certify their
+witness, with no LPs on the happy path) — then reorders the sign
+columns to the canonical plane order, so the
 frozen result is combinatorially identical to a batch rebuild (same
 hyperplanes, sign vectors, dimensions and in/out classification;
 witness points are path-dependent, see the module docstring of

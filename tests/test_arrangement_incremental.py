@@ -5,8 +5,15 @@ sign vectors, dimensions, membership bits) as the batch DFS builder —
 witness points may differ, everything combinatorial must agree.  Also
 checks the planar Euler relation V − E + F = 1 as a global sanity
 invariant for 2-D arrangements.
+
+Zone insertion is held to :class:`PerFaceOracle`, which solves for
+every existing face and re-derives dimensions by rank: on seeded
+random mutation sequences both must agree exactly, witness points and
+store bytes included.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,11 +25,19 @@ from repro.geometry.hyperplane import Hyperplane
 from repro.constraints.parser import parse_formula
 from repro.constraints.relation import ConstraintRelation
 from repro.arrangement.builder import build_arrangement
+from repro.arrangement.faces import face_dimension, sign_vector_constraints
 from repro.arrangement.hyperplanes import hyperplanes_of_relation
 from repro.arrangement.incremental import (
     IncrementalArrangement,
     build_arrangement_incremental,
 )
+from repro.geometry.simplex import (
+    clear_feasibility_cache,
+    strict_feasible_point,
+)
+from repro.obs.metrics import get_registry
+from repro.store.codec import canonical_json, encode
+from repro.workloads.generators import interval_chain
 
 F = Fraction
 
@@ -320,3 +335,259 @@ class TestCounterParity:
         incremental.retract(plane)
         assert registry.get("arrangement.insertions") == before_ins + 1
         assert registry.get("arrangement.retractions") == before_ret + 1
+
+
+class TestReorder:
+    def test_reorder_rejects_non_permutations(self):
+        a = Hyperplane.make([1, 0], 0)
+        b = Hyperplane.make([0, 1], 0)
+        c = Hyperplane.make([1, 1], 1)
+        incremental = IncrementalArrangement(2)
+        incremental.insert_all([a, b])
+        for target in ([a], [a, b, c], [a, c], [a, a]):
+            with pytest.raises(GeometryError):
+                incremental.reorder(target)
+        incremental.reorder([b, a])
+        assert incremental.hyperplanes == [b, a]
+        # Multiplicity counts: a duplicated plane must appear as often.
+        incremental.insert(a)
+        incremental.reorder([a, b, a])
+        with pytest.raises(GeometryError):
+            incremental.reorder([a, b, b])
+
+
+# ---------------------------------------------------------------------------
+# Zone insertion against the per-face oracle
+# ---------------------------------------------------------------------------
+class PerFaceOracle(IncrementalArrangement):
+    """Insertion and retraction as every face paying its own way.
+
+    Insertion runs the two exact solves for every existing face, and
+    retraction re-certifies every face's witness; dimensions are
+    re-derived by rank after each mutation rather than carried.
+    """
+
+    def _insert_new(self, hyperplane):
+        new_signs = []
+        new_witnesses = []
+        created = 0
+        for signs, witness in zip(self._signs, self._witnesses):
+            base_system = sign_vector_constraints(self.hyperplanes, signs)
+            witness_sign = int(hyperplane.side_of(witness))
+            survivors = 0
+            for sign in (-1, 0, 1):
+                if sign == witness_sign:
+                    child_witness = witness
+                else:
+                    extra = sign_vector_constraints([hyperplane], (sign,))
+                    child_witness = strict_feasible_point(
+                        base_system + extra, self.dimension
+                    )
+                if child_witness is None:
+                    continue
+                new_signs.append(signs + (sign,))
+                new_witnesses.append(child_witness)
+                survivors += 1
+            created += survivors - 1
+        self.hyperplanes.append(hyperplane)
+        self._signs = new_signs
+        self._witnesses = new_witnesses
+        self._rank_dims()
+        return created
+
+    def _retract_unique(self, index):
+        merged = {}
+        for signs, witness in zip(self._signs, self._witnesses):
+            reduced = signs[:index] + signs[index + 1:]
+            if reduced not in merged:
+                merged[reduced] = witness
+        removed = len(self._signs) - len(merged)
+        planes = self.hyperplanes
+        new_witnesses = []
+        for reduced, witness in merged.items():
+            if not all(
+                int(plane.side_of(witness)) == sign
+                for plane, sign in zip(planes, reduced)
+            ):
+                witness = strict_feasible_point(
+                    sign_vector_constraints(planes, reduced), self.dimension
+                )
+            new_witnesses.append(witness)
+        self._signs = list(merged)
+        self._witnesses = new_witnesses
+        self._rank_dims()
+        return removed
+
+    def _rank_dims(self):
+        self._dims = [
+            face_dimension(self.hyperplanes, signs, self.dimension)
+            for signs in self._signs
+        ]
+
+
+#: Upper bounds on live planes per ambient dimension, so the oracle's
+#: every-face LPs stay cheap.
+MAX_PLANES = {1: 7, 2: 6, 3: 5}
+
+RELATIONS = {
+    1: "x0 <= 1",
+    2: "x0 + x1 <= 1 & x1 >= -1",
+    3: "x0 + x1 - x2 <= 1 & x2 >= -1",
+}
+
+
+def _random_normal(rng, dimension):
+    while True:
+        normal = [rng.randint(-2, 2) for _ in range(dimension)]
+        if any(normal):
+            return normal
+
+
+def _next_mutation(rng, oracle, retracted):
+    """One seeded mutation: an ``("insert" | "retract", plane)`` pair.
+
+    Mixes retractions, re-insertions of retracted planes, planes
+    parallel to a live one, planes through a live vertex, scaled
+    duplicates of a live plane and fresh planes.
+    """
+    dimension = oracle.dimension
+    draw = rng.random()
+    live = list(oracle.hyperplanes)
+    full = len(set(live)) >= MAX_PLANES[dimension]
+    if live and (full or draw < 0.2):
+        plane = rng.choice(live)
+        retracted.append(plane)
+        return "retract", plane
+    if retracted and draw < 0.3:
+        return "insert", retracted.pop(rng.randrange(len(retracted)))
+    if live and draw < 0.45:
+        base = rng.choice(live)
+        return "insert", Hyperplane.make(
+            list(base.normal), base.offset + rng.choice([-2, -1, 1, 2])
+        )
+    vertices = [
+        witness for witness, dim in zip(oracle._witnesses, oracle._dims)
+        if dim == 0
+    ]
+    if vertices and draw < 0.65:
+        vertex = rng.choice(vertices)
+        normal = _random_normal(rng, dimension)
+        offset = sum(Fraction(c) * x for c, x in zip(normal, vertex))
+        return "insert", Hyperplane.make(normal, offset)
+    if live and draw < 0.75:
+        base = rng.choice(live)
+        factor = rng.choice([2, 3])
+        return "insert", Hyperplane.make(
+            [factor * c for c in base.normal], factor * base.offset
+        )
+    return "insert", Hyperplane.make(
+        _random_normal(rng, dimension), rng.randint(-3, 3)
+    )
+
+
+def _assert_identical(incremental, oracle, relation):
+    assert incremental.hyperplanes == oracle.hyperplanes
+    assert incremental._dims == [
+        face_dimension(incremental.hyperplanes, signs, incremental.dimension)
+        for signs in incremental._signs
+    ]
+    frozen = incremental.to_arrangement(relation)
+    expected = oracle.to_arrangement(relation)
+    assert [
+        (f.signs, f.sample, f.dimension, f.in_relation) for f in frozen.faces
+    ] == [
+        (f.signs, f.sample, f.dimension, f.in_relation)
+        for f in expected.faces
+    ]
+    assert canonical_json(encode("arrangement", frozen)) == \
+        canonical_json(encode("arrangement", expected))
+
+
+class TestZoneInsertionMatchesOracle:
+    """Zone insertion and merged-only retraction against the oracle:
+    identical sign vectors, witnesses, dimensions, membership bits and
+    store bytes after every mutation of a seeded random script."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_mutation_scripts(self, dimension, seed):
+        variables = [f"x{i}" for i in range(dimension)]
+        relation = ConstraintRelation.make(
+            variables, parse_formula(RELATIONS[dimension])
+        )
+        incremental = IncrementalArrangement(dimension)
+        oracle = PerFaceOracle(dimension)
+        rng = random.Random(1000 * dimension + seed)
+        retracted = []
+        for _ in range(9):
+            op, plane = _next_mutation(rng, oracle, retracted)
+            if op == "retract":
+                assert incremental.retract(plane) == oracle.retract(plane)
+            else:
+                assert incremental.insert(plane) == oracle.insert(plane)
+            _assert_identical(incremental, oracle, relation)
+        canonical = sorted(
+            Counter(oracle.hyperplanes).elements(),
+            key=lambda h: (h.normal, h.offset),
+        )
+        incremental.reorder(canonical)
+        oracle.reorder(canonical)
+        _assert_identical(incremental, oracle, relation)
+
+    def test_adopted_arrangement_matches_oracle(self):
+        relation = triangle_relation()
+        built = build_arrangement(relation)
+        incremental = IncrementalArrangement.from_arrangement(built)
+        oracle = PerFaceOracle.from_arrangement(built)
+        for plane in (
+            Hyperplane.make([1, -1], 0),   # through a vertex
+            Hyperplane.make([1, 1], 3),    # parallel, outside the triangle
+            Hyperplane.make([0, 1], 0),    # duplicate
+        ):
+            incremental.insert(plane)
+            oracle.insert(plane)
+            _assert_identical(incremental, oracle, relation)
+
+
+class TestZoneLPCount:
+    """One insertion pays LPs for its zone and the unbounded faces only.
+
+    On ``interval_chain(n)`` a plane strictly inside one segment meets
+    one bounded face; the two rays are the only other faces solved, so
+    the exact-solve count is the same for every n while the solves
+    avoided grow with n."""
+
+    @staticmethod
+    def _insert_and_retract(segments):
+        relation = interval_chain(segments).spatial
+        incremental = IncrementalArrangement.from_arrangement(
+            build_arrangement(relation)
+        )
+        before = incremental.to_arrangement(relation)
+        registry = get_registry()
+        clear_feasibility_cache()
+        solves = registry.get("lp.solves")
+        skipped = registry.get("arrangement.lp_skipped")
+        plane = Hyperplane.make([2], 1)  # x0 = 1/2, not an endpoint
+        assert incremental.insert(plane) == 2
+        solves = registry.get("lp.solves") - solves
+        skipped = registry.get("arrangement.lp_skipped") - skipped
+        recertified = registry.get("arrangement.witness_recertified")
+        incremental.retract(plane)
+        recertified = (
+            registry.get("arrangement.witness_recertified") - recertified
+        )
+        # The merged segment keeps its first child's witness, so only
+        # the combinatorics come back exactly.
+        assert combinatorial_signature(
+            incremental.to_arrangement(relation)
+        ) == combinatorial_signature(before)
+        return solves, skipped, recertified
+
+    def test_solves_independent_of_chain_length(self):
+        results = [self._insert_and_retract(n) for n in (6, 12, 24)]
+        solves = [row[0] for row in results]
+        skipped = [row[1] for row in results]
+        assert len(set(solves)) == 1, solves
+        assert skipped[0] < skipped[1] < skipped[2], skipped
+        assert all(row[2] == 0 for row in results)
