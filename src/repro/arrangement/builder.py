@@ -72,7 +72,10 @@ from repro.arrangement.faces import (
     face_dimension,
     sign_vector_constraints,
 )
-from repro.arrangement.hyperplanes import hyperplanes_of_relation
+from repro.arrangement.hyperplanes import (
+    hyperplanes_of_relation,
+    membership_by_signs,
+)
 
 
 @dataclass(frozen=True)
@@ -457,13 +460,13 @@ def build_arrangement(
                 witness_reuse=witness_reuse,
                 dedup=dedup,
             )
+        inside = membership_by_signs(relation, planes)
         faces: list[Face] = []
         for index, (signs, witness) in enumerate(pairs):
             dim = face_dimension(planes, signs, ambient)
-            inside = (
-                relation.contains(witness) if relation is not None else False
+            faces.append(
+                Face(index, signs, dim, witness, inside(signs, witness))
             )
-            faces.append(Face(index, signs, dim, witness, inside))
         _FACES.inc(len(faces))
         build_span.set("hyperplanes", len(planes))
         build_span.set("faces", len(faces))

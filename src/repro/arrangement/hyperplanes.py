@@ -12,6 +12,9 @@ functions of the represented relation's atom set.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Callable, Sequence
+
 from repro.geometry.hyperplane import Hyperplane
 from repro.constraints.relation import ConstraintRelation
 
@@ -25,3 +28,56 @@ def hyperplanes_of_relation(relation: ConstraintRelation) -> list[Hyperplane]:
             if plane is not None:
                 planes.add(plane)
     return sorted(planes, key=lambda h: (h.normal, h.offset))
+
+
+def membership_by_signs(
+    relation: ConstraintRelation | None, planes: Sequence[Hyperplane]
+) -> Callable[[tuple[int, ...], Sequence[Fraction]], bool]:
+    """``inside(signs, witness)`` — is a face of ``planes`` in ``relation``?
+
+    An atom ``t ⋈ 0`` and its canonical plane ``n·x = b`` satisfy
+    ``t(x) = λ·(n·x - b)`` for one non-zero λ, so the atom's sign on a
+    face is the face's sign on that plane times the sign of λ, and every
+    DNF atom's truth is read off the sign vector without touching the
+    witness.  When some atom's plane is not among ``planes`` the faces
+    need not be in-or-out of the relation, and membership is the
+    relation's formula evaluated at the witness.
+    """
+    if relation is None:
+        return lambda signs, witness: False
+    position = {plane: index for index, plane in enumerate(planes)}
+    order = relation.variables
+    tests: list[tuple[tuple[int, frozenset], ...]] = []
+    for disjunct in relation.disjuncts():
+        checks = []
+        for atom in disjunct:
+            plane = atom.hyperplane(order)
+            if plane is None:
+                if atom.trivial_truth():
+                    continue
+                break
+            index = position.get(plane)
+            if index is None:
+                return lambda signs, witness: relation.contains(witness)
+            name, coeff = atom.term.coefficients[0]
+            orientation = (
+                1 if (coeff > 0) == (plane.normal[order.index(name)] > 0)
+                else -1
+            )
+            checks.append((
+                index,
+                frozenset(
+                    sign for sign in (-1, 0, 1)
+                    if atom.op.holds(orientation * sign)
+                ),
+            ))
+        else:
+            tests.append(tuple(checks))
+
+    def inside(signs, witness) -> bool:
+        return any(
+            all(signs[index] in allowed for index, allowed in checks)
+            for checks in tests
+        )
+
+    return inside

@@ -85,7 +85,10 @@ from repro.arrangement.faces import (
     SignVector,
     sign_vector_constraints,
 )
-from repro.arrangement.hyperplanes import hyperplanes_of_relation
+from repro.arrangement.hyperplanes import (
+    hyperplanes_of_relation,
+    membership_by_signs,
+)
 
 
 class IncrementalArrangement:
@@ -336,9 +339,12 @@ class IncrementalArrangement:
 
         Faces are ordered by sign vector in the same -1 < 0 < +1 DFS
         order the batch builder uses, so results are interchangeable.
-        When a relation is given, faces are classified against it (its
-        atoms must only use the inserted hyperplanes for the faces to be
-        in-or-out of the relation; this is not re-checked).
+        When a relation is given, faces are classified against it: each
+        membership bit is read off the face's sign vector
+        (:func:`~repro.arrangement.hyperplanes.membership_by_signs`).
+        Faces are in-or-out of the relation only when its atoms use the
+        inserted hyperplanes; otherwise the bit is the formula evaluated
+        at the face's witness.
 
         Freezing moves the *shared* counter family exactly as one batch
         build does — ``arrangement.builds`` by one, ``arrangement.faces``
@@ -349,15 +355,15 @@ class IncrementalArrangement:
         order = sorted(
             range(len(self._signs)), key=lambda i: self._signs[i]
         )
+        inside = membership_by_signs(relation, planes)
         faces = []
         for position, i in enumerate(order):
+            signs = self._signs[i]
             witness = self._witnesses[i]
-            inside = (
-                relation.contains(witness) if relation is not None else False
-            )
-            faces.append(
-                Face(position, self._signs[i], self._dims[i], witness, inside)
-            )
+            faces.append(Face(
+                position, signs, self._dims[i], witness,
+                inside(signs, witness),
+            ))
         _BUILDS.inc()
         _FACES.inc(len(faces))
         return Arrangement(self.dimension, planes, tuple(faces), relation)

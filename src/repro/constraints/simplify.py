@@ -16,39 +16,203 @@ The functions here work on the ``Disjunct`` representation of
 :mod:`repro.constraints.normal_forms` (tuples of atoms, conjunction
 implied, list = disjunction).
 
-Every pruning entry point accepts an optional ``feasibility`` callable
-(``Disjunct -> bool``) replacing the default exact LP decision
-:func:`disjunct_feasible`.  The compiled executor
-(:mod:`repro.ir.kernels`) passes a memoised, prefiltered — but
-observationally identical — decision procedure this way, so both
-executors run the *same* control flow over the same disjunct orders and
-produce byte-identical formulas; only who pays for each feasibility
-verdict differs.
+Every feasibility verdict goes through :func:`disjunct_feasible`, which
+first asks :func:`feasibility_certificate` — an O(atoms) bound sweep
+whose ``True`` is an exactly checked point and whose ``False`` is an
+empty relaxed box or a one-variable contradiction — and only builds
+``LinearConstraint`` rows for the exact LP when the certificate is
+undecided.  Both executors and the element-query path therefore share
+one decision.  Every pruning entry point accepts an optional
+``feasibility`` callable (``Disjunct -> bool``) in its place; the
+compiled executor (:mod:`repro.ir.kernels`) passes a memo over
+:func:`disjunct_feasible` this way, so both executors run the *same*
+control flow over the same disjunct orders and produce byte-identical
+formulas.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Sequence
 
-from repro.geometry.simplex import feasible
-from repro.constraints.atoms import Atom
+from repro.geometry.simplex import feasible, interval_point
+from repro.constraints.atoms import Atom, Op
 from repro.constraints.normal_forms import Disjunct
+from repro.obs.metrics import get_registry
 
 #: Signature of a pluggable feasibility decision over a conjunction.
 FeasibilityFn = Callable[[Disjunct], bool]
 
+#: Verdicts :func:`disjunct_feasible` took from the certificate, no LP.
+_CERTIFIED = get_registry().counter("lp.certified")
 
-def disjunct_feasible(disjunct: Disjunct) -> bool:
-    """Exact non-emptiness of a conjunction of atoms."""
-    live = []
+_LE_OPS = (Op.LE, Op.LT, Op.EQ)
+_GE_OPS = (Op.GE, Op.GT, Op.EQ)
+
+
+def _bound(
+    coeff: Fraction, rest: Fraction, op: Op
+) -> tuple[Fraction, int, bool]:
+    """``coeff·v + rest OP 0`` (``coeff`` non-zero) as a bound on ``v``.
+
+    Returns ``(value, side, strict)``: ``side`` is 1 for ``v ≤ value``
+    (``<`` when ``strict``), -1 for ``v ≥ value`` and 0 for
+    ``v = value``.
+    """
+    if coeff == 1:
+        value = -rest
+    elif coeff == -1:
+        value = rest
+    else:
+        value = -rest / coeff
+    if op is Op.EQ:
+        return value, 0, False
+    return (
+        value,
+        1 if (op is Op.LE or op is Op.LT) == (coeff > 0) else -1,
+        op is Op.LT or op is Op.GT,
+    )
+
+
+def _tighten(entry: list, value: Fraction, side: int, strict: bool) -> bool:
+    """Meet ``entry`` = [lower, lower_strict, upper, upper_strict, pinned]
+    with one bound, by the rules of the exact interval solve; ``False``
+    on two different pinned values."""
+    if side == 0:
+        pinned = entry[4]
+        if pinned is not None and pinned != value:
+            return False
+        entry[4] = value
+    elif side > 0:
+        upper = entry[2]
+        if upper is None or value < upper or (value == upper and strict):
+            entry[2] = value
+            entry[3] = strict
+    else:
+        lower = entry[0]
+        if lower is None or value > lower or (value == lower and strict):
+            entry[0] = value
+            entry[1] = strict
+    return True
+
+
+def feasibility_certificate(disjunct: Disjunct) -> bool | None:
+    """A proof that a conjunction is (non-)empty, ``None`` when undecided.
+
+    One sweep collects every one-variable atom as a bound on its
+    variable, strictness included, and places each such variable as the
+    exact interval solve would (:func:`~repro.geometry.simplex.\
+interval_point`): an empty interval is an exact contradiction, so
+    ``False``.  ``False`` also comes from a constant atom that fails and
+    from a multi-variable atom that no point of the relaxed (closed)
+    bound box satisfies — the LP verdict is then ``False`` as well.
+    Variables bounded only through multi-variable atoms are placed next,
+    in sorted order, each from the atoms whose other variables are
+    already placed (midpoint, ``lower + 1``, ``upper - 1`` or 0).
+    ``True`` is returned only when the whole point satisfies every atom
+    exactly, strictness included — a witness, so the LP verdict is
+    ``True``.  A conjunction of one-variable atoms is always decided.
+    """
+    # variable -> [lower, lower_strict, upper, upper_strict, pinned]
+    bounds: dict[str, list] = {}
+    multi: list[Atom] = []
     for atom in disjunct:
-        if atom.is_trivial():
-            if not atom.trivial_truth():
+        term = atom.term
+        coeffs = term.coefficients
+        if len(coeffs) != 1:
+            if coeffs:
+                multi.append(atom)
+            elif not atom.op.holds(term.constant):
                 return False
             continue
-        live.append(atom)
-    if not live:
-        return True
+        ((name, coeff),) = coeffs
+        entry = bounds.get(name)
+        if entry is None:
+            entry = bounds[name] = [None, False, None, False, None]
+        if not _tighten(entry, *_bound(coeff, term.constant, atom.op)):
+            return False
+    point: dict[str, Fraction] = {}
+    for name, entry in bounds.items():
+        value = interval_point(*entry)
+        if value is None:
+            return False
+        point[name] = value
+    for atom in multi:
+        term = atom.term
+        low = high = term.constant
+        for name, coeff in term.coefficients:
+            entry = bounds.get(name)
+            if entry is None:
+                low = high = None
+                break
+            pinned = entry[4]
+            if pinned is not None:
+                piece_low = piece_high = pinned
+            elif coeff > 0:
+                piece_low, piece_high = entry[0], entry[2]
+            else:
+                piece_low, piece_high = entry[2], entry[0]
+            low = None if low is None or piece_low is None else (
+                low + coeff * piece_low
+            )
+            high = None if high is None or piece_high is None else (
+                high + coeff * piece_high
+            )
+            if low is None and high is None:
+                break
+        if low is not None and low > 0 and atom.op in _LE_OPS:
+            return False
+        if high is not None and high < 0 and atom.op in _GE_OPS:
+            return False
+    pending = sorted({
+        name
+        for atom in multi
+        for name, __ in atom.term.coefficients
+        if name not in point
+    })
+    for name in pending:
+        entry = [None, False, None, False, None]
+        for atom in multi:
+            term = atom.term
+            rest = term.constant
+            own = None
+            for other, coeff in term.coefficients:
+                if other == name:
+                    own = coeff
+                elif other in point:
+                    rest += coeff * point[other]
+                else:
+                    break
+            else:
+                if own is not None and not _tighten(
+                    entry, *_bound(own, rest, atom.op)
+                ):
+                    return None
+        value = interval_point(*entry)
+        if value is None:
+            return None
+        point[name] = value
+    for atom in disjunct:
+        term = atom.term
+        value = term.constant
+        for name, coeff in term.coefficients:
+            value += coeff * point[name]
+        if not atom.op.holds(value):
+            return None
+    return True
+
+
+def disjunct_feasible(disjunct: Disjunct) -> bool:
+    """Exact non-emptiness of a conjunction of atoms.
+
+    Decided by :func:`feasibility_certificate` when it can, by the exact
+    LP (:func:`repro.geometry.simplex.feasible`) otherwise.
+    """
+    verdict = feasibility_certificate(disjunct)
+    if verdict is not None:
+        _CERTIFIED.inc()
+        return verdict
+    live = [atom for atom in disjunct if not atom.is_trivial()]
     variables = sorted({v for atom in live for v in atom.variables})
     system = [atom.to_linear_constraint(variables) for atom in live]
     return feasible(system, dimension=len(variables))

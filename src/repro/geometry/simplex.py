@@ -294,6 +294,27 @@ def _solve_interval(
             ):
                 lower = bound
                 lower_strict = row.rel is Rel.LT
+    point = interval_point(lower, lower_strict, upper, upper_strict, pinned)
+    return None if point is None else (point,)
+
+
+def interval_point(
+    lower: Fraction | None,
+    lower_strict: bool,
+    upper: Fraction | None,
+    upper_strict: bool,
+    pinned: Fraction | None,
+) -> Fraction | None:
+    """The value an interval solve picks for one variable, or ``None``.
+
+    The variable is bounded below by ``lower`` and above by ``upper``
+    (each strict or not, ``None`` when absent) and, when ``pinned`` is
+    given, equal to it.  The choice is the pinned value, else the
+    midpoint, ``lower + 1``, ``upper - 1`` or 0; ``None`` means the
+    bounds leave no value.  :func:`repro.constraints.simplify.\
+feasibility_certificate` places variables by the same rules, so its
+    one-variable verdicts are this solver's.
+    """
     if pinned is not None:
         if lower is not None and (
             pinned < lower or (pinned == lower and lower_strict)
@@ -303,21 +324,18 @@ def _solve_interval(
             pinned > upper or (pinned == upper and upper_strict)
         ):
             return None
-        return (pinned,)
-    if lower is None and upper is None:
-        return (ZERO,)
+        return pinned
     if lower is None:
-        assert upper is not None
-        return (upper - 1,)
+        return ZERO if upper is None else upper - 1
     if upper is None:
-        return (lower + 1,)
+        return lower + 1
     if lower > upper:
         return None
     if lower == upper:
         if lower_strict or upper_strict:
             return None
-        return (lower,)
-    return ((lower + upper) / 2,)
+        return lower
+    return (lower + upper) / 2
 
 
 def _solve_component(

@@ -15,13 +15,9 @@ interpreted engine by construction.  It comes from *not re-deciding*:
   constraints hash once (:class:`~repro.geometry.linalg.HashOnce`), so
   a value key costs one cached hash per atom, pins nothing beyond the
   key, and hits on structurally equal atoms however they were built.
-* **Interval prefilter** — before paying for an LP call, a sound
-  one-pass interval check over exact ``Fraction`` bounds decides the
-  easy cases in both directions: relaxed-bound interval emptiness
-  rejects obviously empty conjunctions (the far-apart interval joins
-  that dominate reachability workloads), and an exact midpoint witness
-  certifies obviously satisfiable ones.  Both verdicts are proofs, so
-  they always agree with the LP; everything undecided falls through.
+  A miss calls :func:`~repro.constraints.simplify.disjunct_feasible`,
+  whose feasibility certificate decides most conjunctions without an
+  LP — the same decision the interpreted engine takes.
 * **Reduction/subsumption memos** — ``remove_redundant_atoms`` +
   ``merge_equality_pairs`` is a pure function of a disjunct, and
   ``_subsumed`` of a disjunct pair; accumulators re-minimise mostly old
@@ -40,18 +36,18 @@ interpreted engine by construction.  It comes from *not re-deciding*:
   exactly the contiguous slice of the full enumeration below that
   prefix.
 
-Everything here is scoped to :mod:`repro.ir` on purpose: the interpreted
-engine must keep paying the baseline cost so that it remains an honest
-oracle (and an honest benchmark baseline).
+The memos and the cell index are scoped to one :class:`KernelCache`,
+that is one compiled fixpoint run.  Each decision they remember is the
+one the interpreted engine takes, so the interpreted engine remains the
+oracle the compiled executor is checked against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from repro.arrangement.faces import sign_vector_constraints
-from repro.constraints.atoms import Op, atom_from_constraint
+from repro.constraints.atoms import atom_from_constraint
 from repro.constraints.formula import disjunction
 from repro.constraints.normal_forms import Disjunct, dnf_to_formula
 from repro.constraints.qelim import _project_disjunct
@@ -72,133 +68,6 @@ from repro.constraints.simplify import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
-
-_LE_OPS = (Op.LE, Op.LT, Op.EQ)
-_GE_OPS = (Op.GE, Op.GT, Op.EQ)
-_ZERO = Fraction(0)
-
-
-def _interval_verdict(disjunct: Disjunct) -> bool | None:
-    """Sound two-sided feasibility prefilter, ``None`` when undecided.
-
-    Collects a closed interval per variable from the single-variable
-    atoms (strict bounds relaxed to non-strict, so the tracked region
-    over-approximates the disjunct), then checks every multi-variable
-    atom's term interval against those bounds.  ``False`` is returned
-    only when the over-approximation is empty — the exact LP verdict is
-    then necessarily ``False`` as well.  ``True`` is returned only when
-    a concrete candidate point (interval midpoints) *exactly* satisfies
-    every original atom, strictness included — a genuine witness, so the
-    LP verdict is necessarily ``True``.  Everything else is ``None`` and
-    falls through to the LP; the pass is deliberately a single O(atoms)
-    sweep, meant to skip LP calls, not replace them.
-    """
-    lows: dict[str, Fraction] = {}
-    highs: dict[str, Fraction] = {}
-    multi: list = []
-    variables: set[str] = set()
-    for atom in disjunct:
-        term = atom.term
-        coeffs = term.coefficients
-        op = atom.op
-        if not coeffs:
-            # Constant atom: relax strictness and test directly.
-            constant = term.constant
-            if op in _LE_OPS and constant > 0:
-                return False
-            if op in _GE_OPS and constant < 0:
-                return False
-            continue
-        if len(coeffs) > 1:
-            multi.append(atom)
-            for name, __ in coeffs:
-                variables.add(name)
-            continue
-        # coeff·v + constant OP 0  ⇒  a direct bound on v.
-        name, coeff = coeffs[0]
-        variables.add(name)
-        constant = term.constant
-        if coeff == 1:
-            bound = -constant
-        elif coeff == -1:
-            bound = constant
-        else:
-            bound = -constant / coeff
-        upper = (op in _LE_OPS) == (coeff > 0)
-        if op is Op.EQ:
-            current = lows.get(name)
-            if current is None or bound > current:
-                lows[name] = bound
-            current = highs.get(name)
-            if current is None or bound < current:
-                highs[name] = bound
-        elif upper:
-            current = highs.get(name)
-            if current is None or bound < current:
-                highs[name] = bound
-        else:
-            current = lows.get(name)
-            if current is None or bound > current:
-                lows[name] = bound
-    for name, low in lows.items():
-        high = highs.get(name)
-        if high is not None and low > high:
-            return False
-    for atom in multi:
-        term = atom.term
-        op = atom.op
-        term_lo: Fraction | None = term.constant
-        term_hi: Fraction | None = term.constant
-        for name, coeff in term.coefficients:
-            if coeff > 0:
-                piece_lo, piece_hi = lows.get(name), highs.get(name)
-            else:
-                piece_lo, piece_hi = highs.get(name), lows.get(name)
-            if term_lo is not None:
-                if piece_lo is None:
-                    term_lo = None
-                elif coeff == 1:
-                    term_lo += piece_lo
-                elif coeff == -1:
-                    term_lo -= piece_lo
-                else:
-                    term_lo += coeff * piece_lo
-            if term_hi is not None:
-                if piece_hi is None:
-                    term_hi = None
-                elif coeff == 1:
-                    term_hi += piece_hi
-                elif coeff == -1:
-                    term_hi -= piece_hi
-                else:
-                    term_hi += coeff * piece_hi
-            if term_lo is None and term_hi is None:
-                break
-        if op in _LE_OPS and term_lo is not None and term_lo > 0:
-            return False
-        if op in _GE_OPS and term_hi is not None and term_hi < 0:
-            return False
-    # Feasibility certificate: interval midpoints as a candidate point,
-    # checked exactly (strictness included) against every atom.
-    point: dict[str, Fraction] = {}
-    for name in variables:
-        low = lows.get(name)
-        high = highs.get(name)
-        if low is not None:
-            point[name] = low if high is None else (low + high) / 2
-        elif high is not None:
-            point[name] = high
-        else:
-            point[name] = _ZERO
-    for atom in disjunct:
-        term = atom.term
-        value = term.constant
-        for name, coeff in term.coefficients:
-            value += coeff * point[name]
-        if not atom.op.holds(value):
-            return None
-    return True
-
 
 class _CellEntry:
     """One cached arrangement enumeration: planes, leaves, face atoms.
@@ -329,17 +198,13 @@ class KernelCache:
 
     One instance lives for the duration of one compiled fixpoint run
     (datalog program evaluation or RegLFP induction); all cross-stage
-    reuse happens through it, never through module-global state, so the
-    interpreted baseline and benchmark fairness are unaffected.
+    reuse happens through it, never through module-global state.
     """
 
     def __init__(self) -> None:
         registry = get_registry()
         self._c_feas_calls = registry.counter("ir.feasibility_calls")
         self._c_feas_hits = registry.counter("ir.feasibility_memo_hits")
-        self._c_feas_prefilter = registry.counter(
-            "ir.feasibility_prefilter_hits"
-        )
         self._c_reduce_hits = registry.counter("ir.reduce_memo_hits")
         self._c_subsume_hits = registry.counter("ir.subsume_memo_hits")
         self._c_complement_hits = registry.counter(
@@ -376,12 +241,7 @@ class KernelCache:
             self._c_feas_hits.inc()
             return cached
         self._c_feas_calls.inc()
-        verdict = _interval_verdict(disjunct)
-        if verdict is None:
-            verdict = disjunct_feasible(disjunct)
-        else:
-            self._c_feas_prefilter.inc()
-        self._feasible[disjunct] = verdict
+        verdict = self._feasible[disjunct] = disjunct_feasible(disjunct)
         return verdict
 
     def reduce_disjunct(self, disjunct: Disjunct) -> Disjunct:

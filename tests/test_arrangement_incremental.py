@@ -591,3 +591,76 @@ class TestZoneLPCount:
         assert len(set(solves)) == 1, solves
         assert skipped[0] < skipped[1] < skipped[2], skipped
         assert all(row[2] == 0 for row in results)
+
+
+def _assert_bits_are_membership(arrangement, relation):
+    """Every face's bit is ``relation.contains(witness)``, and the codec
+    bytes equal those of the same faces classified that way."""
+    from dataclasses import replace
+
+    from repro.arrangement.builder import Arrangement
+
+    by_witness = tuple(
+        replace(face, in_relation=relation.contains(face.sample))
+        for face in arrangement.faces
+    )
+    assert [face.in_relation for face in arrangement.faces] == [
+        face.in_relation for face in by_witness
+    ]
+    expected = Arrangement(
+        arrangement.dimension, arrangement.hyperplanes, by_witness, relation
+    )
+    assert canonical_json(encode("arrangement", arrangement)) == \
+        canonical_json(encode("arrangement", expected))
+
+
+class TestMembershipBySigns:
+    """Membership bits read off sign vectors equal the formula evaluated
+    at each face's witness, on the golden figures and on the seeded
+    mutation scripts (whose planes may miss the relation's own)."""
+
+    @staticmethod
+    def _golden_relations():
+        from tests.test_golden_figures import pentagon, triangle, wedge
+
+        yield from (triangle(), pentagon(), wedge())
+        for segments, gap in ((3, False), (4, True)):
+            yield interval_chain(segments, gap=gap).spatial
+
+    def test_golden_figures(self):
+        for relation in self._golden_relations():
+            built = build_arrangement(relation)
+            _assert_bits_are_membership(built, relation)
+            incremental = IncrementalArrangement.from_arrangement(built)
+            _assert_bits_are_membership(
+                incremental.to_arrangement(relation), relation
+            )
+            _assert_bits_are_membership(
+                build_arrangement_incremental(relation), relation
+            )
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mutation_scripts(self, dimension, seed):
+        variables = [f"x{i}" for i in range(dimension)]
+        relation = ConstraintRelation.make(
+            variables, parse_formula(RELATIONS[dimension])
+        )
+        rng = random.Random(1000 * dimension + seed)
+        # One script from scratch, one from the relation's own planes.
+        for incremental in (
+            IncrementalArrangement(dimension),
+            IncrementalArrangement.from_arrangement(
+                build_arrangement(relation)
+            ),
+        ):
+            retracted = []
+            for _ in range(9):
+                op, plane = _next_mutation(rng, incremental, retracted)
+                if op == "retract":
+                    incremental.retract(plane)
+                else:
+                    incremental.insert(plane)
+                _assert_bits_are_membership(
+                    incremental.to_arrangement(relation), relation
+                )

@@ -119,3 +119,48 @@ class TestProductAndPrune:
     def test_nullary_cell_complement(self):
         assert cell_complement([()], ()) == []
         assert cell_complement([], ()) == [()]
+
+
+class TestElementQueriesSkipTheLP:
+    """The serve path's 1-D element queries are decided by certificate.
+
+    Both one-dimensional element-query templates of the serving
+    benchmark, on a warm ``interval_chain(8)`` extension, prune every
+    conjunction without an LP solve or LP memo lookup.
+    """
+
+    TEMPLATES = (
+        "exists y. S(y) & x0 - y <= {c} & y - x0 <= {c}",
+        "exists y. S(y) & y - x0 >= {c} & y - x0 <= {d}",
+    )
+
+    def test_templates_take_no_lp_and_answer_exactly(self):
+        from repro.config import EngineConfig
+        from repro.engine import QueryEngine
+        from repro.obs.metrics import get_registry
+        from repro.workloads.generators import interval_chain
+
+        engine = QueryEngine(interval_chain(8), config=EngineConfig())
+        # Warm the region extension on other constants.
+        for template in self.TEMPLATES:
+            engine.evaluate(template.format(c=F(1, 3), d=F(4, 3)))
+        registry = get_registry()
+        solves = registry.get("lp.solves")
+        hits = registry.get("lp.cache_hits")
+        c = F(1, 2)
+        near = engine.evaluate(self.TEMPLATES[0].format(c=c, d=c + 1))
+        ahead = engine.evaluate(self.TEMPLATES[1].format(c=c, d=c + 1))
+        assert registry.get("lp.solves") == solves
+        assert registry.get("lp.cache_hits") == hits
+        # Points within 1/2 of [0, 8]: [-1/2, 17/2].
+        for x, inside in (
+            (F(-1, 2), True), (F(0), True), (F(4), True),
+            (F(17, 2), True), (F(-3, 4), False), (F(35, 4), False),
+        ):
+            assert near.contains((x,)) is inside, x
+        # Some y in [x + 1/2, x + 3/2] lies in [0, 8]: [-3/2, 15/2].
+        for x, inside in (
+            (F(-3, 2), True), (F(3), True), (F(15, 2), True),
+            (F(-8, 5), False), (F(38, 5), False),
+        ):
+            assert ahead.contains((x,)) is inside, x

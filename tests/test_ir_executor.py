@@ -7,28 +7,30 @@ Two layers are pinned down here, independently of whole-program runs:
   and a guard-skipped subtree must evaluate to ``None`` (no derivation)
   with ``None`` propagating through every unary/n-ary operator exactly
   as the interpreted stage driver would skip the rule.
-* **Kernel soundness** — every memoised decision procedure must agree
-  with the exact oracle it shortcuts: the interval prefilter may answer
-  ``None`` but never contradict ``disjunct_feasible``, the feasibility
-  memo answers repeats from cache, and the incremental cell index
-  reproduces the full arrangement enumeration leaf for leaf.
+* **Kernel soundness** — every decision procedure must agree with the
+  exact oracle it shortcuts: the feasibility certificate may answer
+  ``None`` but never contradict the exact LP, and decides every
+  one-variable conjunction; the feasibility memo answers repeats from
+  cache; and the incremental cell index reproduces the full arrangement
+  enumeration leaf for leaf.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arrangement.builder import enumerate_sign_vectors
 from repro.constraints.parser import parse_formula
 from repro.constraints.relation import ConstraintRelation
-from repro.constraints.simplify import disjunct_feasible
+from repro.constraints.simplify import feasibility_certificate
 from repro.errors import EvaluationError
 from repro.geometry.hyperplane import Hyperplane
+from repro.geometry.simplex import feasible
 from repro.ir import nodes as ir
 from repro.ir.executor import ExecutionContext, execute
-from repro.ir.kernels import KernelCache, _interval_verdict
+from repro.ir.kernels import KernelCache
 from repro.obs.metrics import get_registry
 
 F = Fraction
@@ -204,13 +206,30 @@ SEEDED_DISJUNCT_TEXTS = (
 )
 
 
+def lp_feasible(disjunct) -> bool:
+    """The exact LP verdict on a conjunction, with no certificate."""
+    if any(
+        atom.is_trivial() and not atom.trivial_truth() for atom in disjunct
+    ):
+        return False
+    live = [atom for atom in disjunct if not atom.is_trivial()]
+    variables = sorted({v for atom in live for v in atom.variables})
+    return feasible(
+        [atom.to_linear_constraint(variables) for atom in live],
+        dimension=len(variables),
+    )
+
+
+OPS = ("<=", "<", ">=", ">", "=")
+
+
 class TestKernelSoundness:
     def test_interval_verdict_agrees_with_lp_on_seeds(self):
         for text in SEEDED_DISJUNCT_TEXTS:
             for disjunct in disjuncts_of(text):
-                verdict = _interval_verdict(disjunct)
+                verdict = feasibility_certificate(disjunct)
                 if verdict is not None:
-                    assert verdict == disjunct_feasible(disjunct), text
+                    assert verdict == lp_feasible(disjunct), text
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -219,7 +238,7 @@ class TestKernelSoundness:
                 st.integers(min_value=-3, max_value=3),
                 st.integers(min_value=-3, max_value=3),
                 st.integers(min_value=-4, max_value=4),
-                st.sampled_from(("<=", "<", ">=", ">", "=")),
+                st.sampled_from(OPS),
             ),
             min_size=1,
             max_size=4,
@@ -230,21 +249,94 @@ class TestKernelSoundness:
         for a, b, c, op in data:
             parts.append(f"{a}*x + {b}*y {op} {c}")
         for disjunct in disjuncts_of(" & ".join(parts)):
-            verdict = _interval_verdict(disjunct)
+            verdict = feasibility_certificate(disjunct)
             if verdict is not None:
-                assert verdict == disjunct_feasible(disjunct), parts
+                assert verdict == lp_feasible(disjunct), parts
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from(("x", "y")),
+                st.integers(min_value=-3, max_value=3),
+                st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                st.sampled_from(OPS),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # A strict bound tying a non-strict one that came first must win.
+    @example(data=[("x", 1, F(1), ">="), ("x", 1, F(1), "<="),
+                   ("x", 1, F(1), "<")])
+    @example(data=[("x", 1, F(1), "<="), ("x", 1, F(1), ">="),
+                   ("x", 1, F(1), ">")])
+    def test_certificate_decides_one_variable_atoms(self, data):
+        parts = [f"{a}*{v} {op} {c}" for v, a, c, op in data]
+        for disjunct in disjuncts_of(" & ".join(parts)):
+            verdict = feasibility_certificate(disjunct)
+            assert verdict is not None, parts
+            assert verdict == lp_feasible(disjunct), parts
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.tuples(
+                st.fractions(min_value=-6, max_value=6, max_denominator=3),
+                st.sampled_from(OPS),
+            ),
+            max_size=2,
+        ),
+        links=st.lists(
+            st.tuples(
+                st.lists(
+                    st.integers(min_value=-2, max_value=2),
+                    min_size=3,
+                    max_size=3,
+                ),
+                st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                st.sampled_from(OPS),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_certificate_never_contradicts_lp_through_links(
+        self, bounds, links
+    ):
+        # Only ``y`` carries one-variable bounds; ``x0`` and ``x1`` are
+        # bounded, if at all, through the multi-variable links.
+        parts = [f"y {op} {c}" for c, op in bounds]
+        for (a, b, d), c, op in links:
+            parts.append(f"{a}*x0 + {b}*x1 + {d}*y {op} {c}")
+        for disjunct in disjuncts_of(" & ".join(parts)):
+            verdict = feasibility_certificate(disjunct)
+            if verdict is not None:
+                assert verdict == lp_feasible(disjunct), parts
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.fractions(
+            min_value=0, max_value=3, max_denominator=97
+        ).filter(lambda c: c > 0)
+    )
+    def test_certificate_proves_the_serve_read_shape(self, c):
+        text = f"-y <= -4 & y <= 5 & x0 - y <= {c} & -x0 + y <= {c}"
+        for disjunct in disjuncts_of(text):
+            assert feasibility_certificate(disjunct) is True, text
+            assert lp_feasible(disjunct), text
 
     def test_feasibility_matches_oracle_and_memoises(self):
         registry = get_registry()
         kernels = KernelCache()
         for text in SEEDED_DISJUNCT_TEXTS:
             for disjunct in disjuncts_of(text):
-                assert kernels.feasibility(disjunct) == disjunct_feasible(
+                assert kernels.feasibility(disjunct) == lp_feasible(
                     disjunct
                 ), text
                 before = registry.get("ir.feasibility_memo_hits")
                 calls = registry.get("ir.feasibility_calls")
-                assert kernels.feasibility(disjunct) == disjunct_feasible(
+                assert kernels.feasibility(disjunct) == lp_feasible(
                     disjunct
                 )
                 assert registry.get("ir.feasibility_memo_hits") == before + 1
