@@ -532,15 +532,8 @@ def run_bench_e14(
     (``match``); the speedups must be free.  The timed rows run with
     the disk store suppressed so they measure the pure plan-rewrite
     benefit, never result-cache hits.
-
-    A separate *statistics phase* then runs one query twice against a
-    temporary store and records that the warm engine's planner consumed
-    the statistics the cold engine persisted
-    (``optimizer_stats.stats_hits > 0``) — the closed loop of the
-    optimizer, demonstrated across engine instances.
     """
     import math
-    import tempfile
 
     from repro.config import EngineConfig
     from repro.engine import QueryEngine
@@ -548,7 +541,6 @@ def run_bench_e14(
     from repro.logic.parser import parse_query
     from repro.workloads.generators import interval_chain
 
-    registry = get_registry()
     results = []
     with _no_store():
         for k in sizes:
@@ -601,46 +593,18 @@ def run_bench_e14(
         else None
     )
 
-    # Statistics phase: cold engine persists measurements, warm engine
-    # plans from them.  Uses its own temporary store so the phase is
-    # hermetic and never pollutes (or borrows from) the user's cache.
-    with tempfile.TemporaryDirectory() as tmp:
-        stats_db = interval_chain(min(sizes) if sizes else 6)
-        stats_formula = parse_query(_E14_QUERIES[0][1])
-        cold = QueryEngine(
-            stats_db,
-            config=EngineConfig.resolve(cache_dir=tmp, optimizer="on"),
-        )
-        cold.evaluate(stats_formula)
-        hits_before = registry.get("optimizer.stats_hits")
-        warm = QueryEngine(
-            stats_db,
-            config=EngineConfig.resolve(cache_dir=tmp, optimizer="on"),
-        )
-        warm.evaluate(stats_formula)
-        warm_hits = registry.get("optimizer.stats_hits") - hits_before
-        optimizer_stats = {
-            "stats_hits": warm_hits,
-            "persisted_nodes": (warm.stats().get("optimizer") or {}).get(
-                "persisted_nodes"
-            ),
-        }
-
-    metadata = _metadata(1)
-    metadata["optimizer_stats"] = optimizer_stats
     record = {
         "benchmark": "E14",
-        "subject": "cost-based optimizer (plan rewrites + statistics)",
+        "subject": "cost-based optimizer (plan rewrites)",
         "baseline": "ablated plans (optimizer=off), source operand order",
         "fast": "NNF + miniscoping, cost-ordered conjuncts/disjuncts, "
         "min-degree quantifier chains (optimizer=on)",
         "target": {"geomean_speedup": _E14_TARGET_GEOMEAN},
-        "metadata": metadata,
+        "metadata": _metadata(1),
         "check_only": check_only,
         "sizes": list(sizes),
         "results": results,
-        "all_match": all(row["match"] for row in results)
-        and optimizer_stats["stats_hits"] > 0,
+        "all_match": all(row["match"] for row in results),
         "geomean_speedup": geomean,
         "largest_speedup": max(speedups) if speedups else None,
     }

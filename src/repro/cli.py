@@ -131,8 +131,8 @@ def _add_optimizer_flag(parser: argparse.ArgumentParser) -> None:
         choices=OPTIMIZERS,
         default=None,
         help="cost-based plan optimizer: 'on' = answer-preserving "
-        "rewrites (NNF + miniscoping, cost-ordered operands) fed by "
-        "persisted statistics, 'off' = the ablated oracle plans "
+        "rewrites (NNF + miniscoping, region lift, cost-ordered "
+        "operands), 'off' = the ablated oracle plans "
         "(default: $REPRO_OPTIMIZER, else on)",
     )
 
@@ -310,39 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_dir_flag(bench)
     _add_journal_flag(bench)
 
-    stats = commands.add_parser(
-        "stats",
-        help="inspect the optimizer's persisted execution statistics "
-             "(hottest plan nodes, observed vs predicted cost)",
-    )
-    stats.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="N",
-        help="show the N hottest plan nodes by accumulated wall "
-             "(default: 10)",
-    )
-    stats.add_argument(
-        "--query",
-        default=None,
-        metavar="TEXT",
-        help="also parse TEXT and report observed vs predicted cost "
-             "for each of its sub-formulas with recorded statistics",
-    )
-    stats.add_argument(
-        "--clear",
-        action="store_true",
-        help="reset the statistics (the in-memory book and the "
-             "persisted entry) to an empty object",
-    )
-    stats.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit the report as JSON instead of a table",
-    )
-    _add_cache_dir_flag(stats)
 
     encode = commands.add_parser(
         "encode", help="print the capture encoding word"
@@ -526,11 +493,11 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
     print(f"answer relation over ({', '.join(answer.variables)}):",
           file=out)
     print(f"  {answer.formula}", file=out)
-    witnesses = answer.sample_points()
+    witnesses = answer.sample_points(limit=5)
     if witnesses:
         shown = ", ".join(
             "(" + ", ".join(str(c) for c in point) + ")"
-            for point in witnesses[:5]
+            for point in witnesses
         )
         print(f"  sample points: {shown}", file=out)
     else:
@@ -744,136 +711,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
     return exit_code
 
 
-def _cmd_stats(args: argparse.Namespace, out) -> int:
-    """Inspect (or clear) the optimizer's persisted statistics.
-
-    Works against the active disk store (``--cache-dir`` or
-    ``REPRO_CACHE_DIR``): prints the decayed run count and the hottest
-    plan-node fingerprints by accumulated wall.  With ``--query`` the
-    text is parsed and each sub-formula with recorded measurements is
-    shown next to the cost model's static prediction, so calibration
-    drift is visible at a glance.  ``--clear`` empties the store's
-    shared statistics book and writes an empty entry.  Reads go through
-    the book, so runs recorded earlier in this process are included
-    even before they are written back.
-    """
-    import json
-
-    from repro.optimizer import node_fingerprint
-    from repro.optimizer.cost import CostModel, _SECONDS_TO_UNITS
-    from repro.store import active_store
-
-    store = active_store()
-    if store is None:
-        print(
-            "error: no disk store active (pass --cache-dir or set "
-            "REPRO_CACHE_DIR)",
-            file=out,
-        )
-        return 2
-    if args.clear:
-        store.reset_statistics()
-        print(f"cleared statistics in {store.root}", file=out)
-        return 0
-    statistics = store.statistics_book().snapshot()
-    report: dict = {
-        "cache_dir": str(store.root),
-        "runs": float(statistics.runs),
-        "nodes": len(statistics.nodes),
-        "hottest": [
-            {
-                "fingerprint": fingerprint[:16],
-                "calls": float(stats.calls),
-                "wall_s": round(float(stats.wall), 6),
-                "mean_wall_s": round(float(stats.mean_wall()), 6),
-                "mean_size": round(float(stats.mean_size()), 2),
-            }
-            for fingerprint, stats in statistics.hottest(args.top)
-        ],
-    }
-    if args.query:
-        formula = parse_query(args.query)
-        model = CostModel(statistics)
-        rows = []
-        seen: set[str] = set()
-        pending = [formula]
-        while pending:
-            node = pending.pop()
-            fingerprint = node_fingerprint(node)
-            pending.extend(_subformulas(node))
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            stats = statistics.get(fingerprint)
-            if stats is None or stats.calls == 0:
-                continue
-            predicted = float(model.static_cost(node))
-            observed = float(
-                stats.mean_wall() * _SECONDS_TO_UNITS
-            )
-            rows.append(
-                {
-                    "node": str(node)[:60],
-                    "predicted_cost": round(predicted, 2),
-                    "observed_cost": round(observed, 2),
-                    "error_ratio": round(observed / predicted, 3)
-                    if predicted > 0
-                    else None,
-                }
-            )
-        report["query"] = {"text": args.query, "nodes": rows}
-    if args.as_json:
-        print(json.dumps(report, indent=2), file=out)
-        return 0
-    print(f"statistics in {report['cache_dir']}", file=out)
-    print(
-        f"  runs (decayed): {report['runs']:.2f}   "
-        f"nodes: {report['nodes']}",
-        file=out,
-    )
-    if report["hottest"]:
-        print(f"  hottest {len(report['hottest'])} nodes:", file=out)
-        for row in report["hottest"]:
-            print(
-                f"    {row['fingerprint']}  calls={row['calls']:.1f}  "
-                f"wall={row['wall_s']:.4f}s  "
-                f"mean={row['mean_wall_s']:.6f}s  "
-                f"mean_size={row['mean_size']}",
-                file=out,
-            )
-    else:
-        print("  (no recorded nodes)", file=out)
-    for row in report.get("query", {}).get("nodes", ()):
-        print(
-            f"    {row['node']}\n"
-            f"      predicted={row['predicted_cost']}  "
-            f"observed={row['observed_cost']}  "
-            f"error_ratio={row['error_ratio']}",
-            file=out,
-        )
-    return 0
-
-
-def _subformulas(node) -> list:
-    """Direct sub-formulas of one region-logic AST node."""
-    import dataclasses
-
-    from repro.logic import ast as logic_ast
-
-    children = []
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, logic_ast.RegFormula):
-            children.append(value)
-        elif isinstance(value, tuple):
-            children.extend(
-                item
-                for item in value
-                if isinstance(item, logic_ast.RegFormula)
-            )
-    return children
-
-
 def _cmd_metrics(args: argparse.Namespace, out) -> int:
     """Dump process metrics as Prometheus text exposition.
 
@@ -1018,7 +855,6 @@ _COMMANDS = {
     "encode": _cmd_encode,
     "render": _cmd_render,
     "bench": _cmd_bench,
-    "stats": _cmd_stats,
     "serve": _cmd_serve,
     "metrics": _cmd_metrics,
     "slowlog": _cmd_slowlog,

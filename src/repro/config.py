@@ -23,14 +23,15 @@ Two construction styles, for two lifetimes:
 
 * :meth:`EngineConfig.resolve` applies the resolution order **once, at
   construction** — the environment is snapshotted and the resulting
-  config is fully pinned.  This is what the CLI, the benchmarks and the
-  server use: a long-lived process should not change behaviour because
-  an environment variable moved under it.
+  config is fully pinned.  This is what ``repro serve`` and the
+  benchmarks use: a long-lived process should not change behaviour
+  because an environment variable moved under it.
 * ``EngineConfig(...)`` with ``None`` fields is *deferred*: a ``None``
-  field means "consult the environment at use time".  This is what
-  ``QueryEngine(db)`` builds when given no config, and the adaptive
-  knobs of :mod:`repro.optimizer.knobs` fill the open ``lp_mode`` and
-  ``jobs`` fields from recorded statistics.
+  field means "consult the environment at use time, else the
+  default".  This is what ``QueryEngine(db)`` builds when given no
+  config, and what the one-shot CLI commands build around their flags.
+
+There is no other tier: nothing the engine measures ever sets a knob.
 
 Consumers::
 
@@ -75,7 +76,7 @@ EXECUTORS = ("compiled", "interpreted")
 
 #: Cost-based optimizer switch.  ``"on"`` applies the answer-preserving
 #: plan rewrites of :mod:`repro.optimizer` (NNF + miniscoping, the
-#: region lift, cost-ordered conjuncts, statistics-fed knob selection)
+#: region lift, cost-ordered conjuncts)
 #: inside :class:`~repro.engine.QueryEngine`; ``"off"`` is the ablated
 #: oracle path the equivalence suite compares against.
 OPTIMIZERS = ("on", "off")

@@ -87,13 +87,13 @@ class ConstraintRelation:
 
     def polyhedra(self) -> list[Polyhedron]:
         """One polyhedron per DNF disjunct, over the schema order."""
-        result = []
-        for disjunct in self.disjuncts():
-            constraints = [
-                atom.to_linear_constraint(self.variables) for atom in disjunct
-            ]
-            result.append(Polyhedron.make(self.arity, constraints))
-        return result
+        return [self._polyhedron(disjunct) for disjunct in self.disjuncts()]
+
+    def _polyhedron(self, disjunct) -> Polyhedron:
+        constraints = [
+            atom.to_linear_constraint(self.variables) for atom in disjunct
+        ]
+        return Polyhedron.make(self.arity, constraints)
 
     def all_atoms(self) -> frozenset[Atom]:
         return self.formula.atoms()
@@ -283,11 +283,20 @@ class ConstraintRelation:
         self._cache["simplified"] = result
         return result
 
-    def sample_points(self) -> list[tuple[Fraction, ...]]:
-        """One rational witness per non-empty disjunct."""
+    def sample_points(
+        self, limit: int | None = None
+    ) -> list[tuple[Fraction, ...]]:
+        """One rational witness per non-empty disjunct, in DNF order.
+
+        ``limit`` stops after that many witnesses, so no LP is solved
+        for the disjuncts past them; the witnesses returned are the
+        first ``limit`` of the unlimited list.
+        """
         witnesses = []
-        for polyhedron in self.polyhedra():
-            point = polyhedron.feasible_point()
+        for disjunct in self.disjuncts():
+            if limit is not None and len(witnesses) >= limit:
+                break
+            point = self._polyhedron(disjunct).feasible_point()
             if point is not None:
                 witnesses.append(point)
         return witnesses

@@ -507,12 +507,8 @@ class QueryEngine:
         #: rendering.  Re-planning must return the *same* formula object
         #: so EXPLAIN's profiler frames line up with the plan tree.
         self._plans: OrderedDict[str, tuple] = OrderedDict()
-        self._knobs = None
         registry = get_registry()
-        self._c_opt_hits = registry.counter("optimizer.stats_hits")
-        self._c_opt_misses = registry.counter("optimizer.stats_misses")
         self._c_opt_rewrites = registry.counter("optimizer.rewrites")
-        self._c_opt_updates = registry.counter("optimizer.stats_updates")
         #: Worker processes for arrangement construction (``None`` =
         #: consult the ``REPRO_JOBS`` environment variable).
         self.jobs = config.jobs
@@ -555,51 +551,13 @@ class QueryEngine:
         return store_pkg.store_scope(self._pinned_store)
 
     # ------------------------------------------------------------------
-    # Cost-based optimizer (statistics, rewrites, knobs)
+    # Cost-based optimizer (plan rewrites)
     # ------------------------------------------------------------------
     def optimizer_enabled(self) -> bool:
         """Whether the cost-based optimizer applies to this engine."""
         from repro.config import resolve_optimizer
 
         return resolve_optimizer(self.config.optimizer) == "on"
-
-    def statistics(self):
-        """The store's shared statistics book (``None`` without a store).
-
-        One :class:`~repro.optimizer.statistics.StatisticsBook` per
-        store, shared by every engine of the process, so each engine
-        plans with every engine's measurements.
-        """
-        disk = self._store()
-        return disk.statistics_book() if disk is not None else None
-
-    def knob_decisions(self) -> list:
-        """The resolved adaptive knobs with their ``because`` strings."""
-        if self._knobs is None:
-            from repro.optimizer.knobs import choose_knobs
-
-            statistics = (
-                self.statistics() if self.optimizer_enabled() else None
-            )
-            self._knobs = choose_knobs(self.config, statistics)
-        return self._knobs
-
-    def _chosen_knob(self, name: str) -> str:
-        from repro.optimizer.knobs import decided
-
-        return decided(self.knob_decisions(), name).chosen
-
-    def _effective_lp_mode(self) -> "str | None":
-        """The LP tier this engine runs under (adaptive when open)."""
-        if self.lp_mode is not None or not self.optimizer_enabled():
-            return self.lp_mode
-        return self._chosen_knob("lp_mode")
-
-    def _effective_jobs(self) -> "int | None":
-        """Arrangement worker count (adaptive when open)."""
-        if self.jobs is not None or not self.optimizer_enabled():
-            return self.jobs
-        return int(self._chosen_knob("jobs"))
 
     #: Bound on remembered rewritten plans per engine.
     _PLAN_CAPACITY = 256
@@ -627,16 +585,11 @@ class QueryEngine:
 
         outcome = rewrite_query(
             formula,
-            self.statistics(),
             region_sort=RegionSort.of(
                 self.database, self.decomposition, self.spatial_name
             ),
         )
         self._c_opt_rewrites.inc()
-        if outcome.model.stats_hits:
-            self._c_opt_hits.inc(outcome.model.stats_hits)
-        if outcome.model.stats_misses:
-            self._c_opt_misses.inc(outcome.model.stats_misses)
         planned = (outcome.formula, outcome)
         self._plans[key] = planned
         while len(self._plans) > self._PLAN_CAPACITY:
@@ -646,108 +599,27 @@ class QueryEngine:
     def result_key_text(self, original_text: str, optimized: bool) -> str:
         """The store key text for a query answer.
 
-        Keys derive from the *original* query text — the cost-based
-        rewrite is stats-dependent, so keying by the rewritten plan
-        would orphan persisted answers whenever new measurements shift
-        the plan.  A mode marker keeps optimized and ablated runs on
-        separate entries: each mode's warm answers stay byte-identical
-        to its own cold run.
+        Keys derive from the *original* query text, so a persisted
+        answer stays findable when the rewrite rules change the plan
+        it was computed from.  A mode marker keeps optimized and
+        ablated runs on separate entries: each mode's warm answers stay
+        byte-identical to its own cold run.
         """
         if optimized:
             return "optimizer=on\x00" + original_text
         return original_text
 
-    def _record_statistics(self, formula: ast.RegFormula, profiler) -> None:
-        """Record one profiled run in the store's statistics book.
-
-        The book is written back every ``FLUSH_RUNS`` runs and at
-        interpreter exit: a hard kill loses at most ``FLUSH_RUNS - 1``
-        runs of advisory statistics, never an answer.
-        """
-        disk = self._store()
-        if disk is None:
-            return
-        from repro.explain import _children_of
-        from repro.optimizer.statistics import FLUSH_RUNS, harvest_profile
-
-        nodes_by_id: dict[int, ast.RegFormula] = {}
-
-        def collect(node: ast.RegFormula) -> None:
-            if id(node) in nodes_by_id:
-                return
-            nodes_by_id[id(node)] = node
-            for child in _children_of(node):
-                collect(child)
-
-        collect(formula)
-        run_nodes = harvest_profile(
-            profiler.stats, profiler.counters, nodes_by_id
-        )
-        run_nodes.update(self._global_run_stats(profiler))
-        if not run_nodes:
-            return
-        if disk.statistics_book().record(run_nodes) >= FLUSH_RUNS:
-            disk.flush_statistics()
-        self._c_opt_updates.inc()
-
-    def _global_run_stats(self, profiler) -> dict:
-        """Process-wide observations with no single plan node.
-
-        The run delta of the fastlp filter counters (feeds the adaptive
-        ``lp_mode``) and of the arrangement counters (feeds ``jobs``),
-        recorded under pseudo-fingerprints.
-        """
-        from repro.optimizer.statistics import (
-            GLOBAL_ARRANGEMENT,
-            GLOBAL_LP,
-            make_node_stats,
-        )
-
-        before = getattr(profiler, "_run_baseline", None)
-        if before is None:
-            return {}
-        registry = get_registry()
-        delta = {
-            name: registry.get(name) - before.get(name, 0)
-            for name in before
-        }
-        out = {}
-        lp = {
-            name: value
-            for name, value in delta.items()
-            if name.startswith("lp.") and value > 0
-        }
-        if lp:
-            out[GLOBAL_LP] = make_node_stats(calls=1, counters=lp)
-        arrangement = {
-            name: value
-            for name, value in delta.items()
-            if name.startswith("arrangement.") and value > 0
-        }
-        # The build usually pre-dates the profiled window, so the live
-        # region count is the reliable size signal for the jobs knob.
-        if self._extension is not None:
-            count = self._extension.region_count()
-            arrangement["arrangement.faces"] = max(
-                arrangement.get("arrangement.faces", 0), count
-            )
-        if arrangement:
-            out[GLOBAL_ARRANGEMENT] = make_node_stats(
-                calls=1, counters=arrangement
-            )
-        return out
-
     @property
     def extension(self) -> RegionExtension:
         """The region extension 𝔅^Reg (cached across engines)."""
         if self._extension is None:
-            with fastlp.lp_mode(self._effective_lp_mode()), \
+            with fastlp.lp_mode(self.lp_mode), \
                     self._store_scope():
                 self._extension = self.cache.extension(
                     self.database,
                     self.decomposition,
                     self.spatial_name,
-                    jobs=self._effective_jobs(),
+                    jobs=self.jobs,
                 )
         return self._extension
 
@@ -803,21 +675,14 @@ class QueryEngine:
             if isinstance(loaded, ConstraintRelation):
                 self._remember(key, loaded)
                 return loaded
-        profiler = self._install_collector(disk)
         started = time.perf_counter()
-        try:
-            with TRACER.span("evaluate"), \
-                    fastlp.lp_mode(self._effective_lp_mode()), \
-                    self._store_scope():
-                answer = self.evaluator.evaluate(formula)
-        finally:
-            if profiler is not None:
-                self.evaluator.profiler = None
+        with TRACER.span("evaluate"), \
+                fastlp.lp_mode(self.lp_mode), \
+                self._store_scope():
+            answer = self.evaluator.evaluate(formula)
         self._observe_latency(
             "engine.evaluate_seconds", time.perf_counter() - started
         )
-        if profiler is not None:
-            self._record_statistics(formula, profiler)
         if disk is not None and key is not None:
             disk.save("relation", key, answer)
             self._remember(key, answer)
@@ -833,34 +698,9 @@ class QueryEngine:
 
         labels = {
             "executor": resolve_executor(self.config.executor),
-            "lp_mode": self._effective_lp_mode(),
+            "lp_mode": self.lp_mode or fastlp.get_lp_mode(),
         }
         get_telemetry().histogram(name, labels).observe(seconds)
-
-    def _install_collector(self, disk):
-        """A statistics-collecting profiler, when one can be useful.
-
-        Only with the optimizer on, a disk store to persist into, and
-        no profiler already installed (EXPLAIN ANALYZE owns that slot
-        and its measurements serve the same purpose).
-        """
-        if (
-            disk is None
-            or not self.optimizer_enabled()
-            or self.evaluator.profiler is not None
-        ):
-            return None
-        from repro.explain import NodeProfiler
-
-        profiler = NodeProfiler()
-        registry = get_registry()
-        profiler._run_baseline = {
-            name: registry.get(name)
-            for name in profiler.counters
-            if name.startswith(("lp.", "arrangement."))
-        }
-        self.evaluator.profiler = profiler
-        return profiler
 
     #: In-memory bound on remembered per-query answer relations.
     _RESULT_CAPACITY = 256
@@ -946,7 +786,7 @@ class QueryEngine:
             self._maintained = inc.MaintainedArrangements()
         delta_started = time.perf_counter()
         with TRACER.span("apply_delta"), \
-                fastlp.lp_mode(self._effective_lp_mode()), \
+                fastlp.lp_mode(self.lp_mode), \
                 self._store_scope():
             for name in changed:
                 old_rel = parent_db.relation(name)
@@ -957,7 +797,7 @@ class QueryEngine:
                     old_rel,
                     new_rel,
                     build_old=lambda rel=old_rel: self.cache.arrangement(
-                        rel, jobs=self._effective_jobs()
+                        rel, jobs=self.jobs
                     ),
                 )
                 self.cache.seed_arrangement(
@@ -1030,24 +870,12 @@ class QueryEngine:
 
         registry = get_registry()
         disk = self._store()
-        book = (
-            disk.statistics_book()
-            if disk is not None and self.optimizer_enabled()
-            else None
-        )
         numbers: dict[str, object] = {
             "cache": self.cache.stats(),
             "executor": resolve_executor(self.config.executor),
             "optimizer": {
                 "enabled": self.optimizer_enabled(),
-                "stats_hits": registry.get("optimizer.stats_hits"),
-                "stats_misses": registry.get("optimizer.stats_misses"),
                 "rewrites": registry.get("optimizer.rewrites"),
-                "stats_updates": registry.get("optimizer.stats_updates"),
-                "stats_flushes": registry.get("optimizer.stats_flushes"),
-                "persisted_nodes": (
-                    book.node_count() if book is not None else 0
-                ),
             },
         }
         if self._evaluator is not None:

@@ -232,20 +232,6 @@ class NodeProfiler:
     def memo_hit(self, formula: ast.RegFormula) -> None:
         self._node(formula)["memo_hits"] += 1
 
-    def observe(self, formula: ast.RegFormula, result) -> None:
-        """Record the observed cardinality of one evaluated result.
-
-        Called by the evaluator after each non-memoised dispatch; the
-        accumulated ``sizes``/``observations`` feed the optimizer's
-        persisted statistics (mean representation size per node).
-        """
-        size = getattr(result, "representation_size", None)
-        if not callable(size):
-            return
-        node = self._node(formula)
-        node["sizes"] = node.get("sizes", 0) + size()
-        node["observations"] = node.get("observations", 0) + 1
-
     def cost_of(self, formula: ast.RegFormula) -> dict[str, Any] | None:
         """The JSON-ready cost block of one formula node (or ``None``)."""
         node = self.stats.get(id(formula))
@@ -615,7 +601,6 @@ def _attach_stage_events(
 
 
 def _attach_optimizer_decisions(
-    engine: "QueryEngine",
     plan: PlanNode,
     index: dict[int, PlanNode],
     outcome,
@@ -624,9 +609,7 @@ def _attach_optimizer_decisions(
 
     Rewrite decisions land on the plan node of the rewritten formula
     node they produced (the root when that node was itself replaced by
-    a later rewrite); the adaptive knob choices become one synthetic
-    ``optimizer`` subtree so ``repro explain`` and ``/v1/explain`` show
-    the full decision record.
+    a later rewrite).
     """
     for decision in outcome.decisions:
         node = index.get(id(decision.node), plan)
@@ -636,23 +619,20 @@ def _attach_optimizer_decisions(
         else:
             node.detail["chosen"] = decision.chosen
             node.detail["because"] = decision.because
-    knobs = PlanNode(
-        "optimizer",
-        "Optimizer: adaptive knobs",
-        {
-            "decisions": len(outcome.decisions),
-            "stats_hits": outcome.model.stats_hits,
-        },
-    )
-    for knob in engine.knob_decisions():
-        knobs.children.append(
-            PlanNode(
-                "knob",
-                f"knob {knob.name}",
-                {"chosen": knob.chosen, "because": knob.because},
-            )
-        )
-    plan.children.append(knobs)
+
+
+def _resolved_knobs(engine: "QueryEngine") -> dict[str, Any]:
+    """The runtime knobs the engine runs under, each resolved
+    explicit > environment > default."""
+    from repro.arrangement.parallel import resolve_jobs
+    from repro.config import resolve_executor
+    from repro.geometry import fastlp
+
+    return {
+        "lp_mode": engine.lp_mode or fastlp.get_lp_mode(),
+        "jobs": resolve_jobs(engine.jobs),
+        "executor": resolve_executor(engine.config.executor),
+    }
 
 
 def explain_query(
@@ -680,8 +660,9 @@ def explain_query(
         ),
     )
     plan.detail["optimizer"] = "on" if outcome is not None else "off"
+    plan.detail.update(_resolved_knobs(engine))
     if outcome is not None:
-        _attach_optimizer_decisions(engine, plan, index, outcome)
+        _attach_optimizer_decisions(plan, index, outcome)
     if not analyze:
         return ExplainResult(str(formula), language, plan, False)
 

@@ -204,11 +204,6 @@ class Evaluator:
                 result = self._dispatch_traced(formula, region_env, set_env)
             finally:
                 self.profiler.exit(formula)
-            # Observed cardinalities feed the optimizer's statistics;
-            # duck-typed so bare profilers keep working.
-            observe = getattr(self.profiler, "observe", None)
-            if observe is not None:
-                observe(formula, result)
         else:
             result = self._dispatch_traced(formula, region_env, set_env)
         self._memo[key] = result

@@ -1,16 +1,12 @@
-"""A calibrated cost model over region-logic plan nodes.
+"""A static cost model over region-logic plan nodes.
 
 Static priors give every node type a relative cost (in units of roughly
-one microsecond of evaluator work); persisted :class:`Statistics`
-override the prior with the measured decayed-average self wall of the
-same structural node, so *predictions* calibrate themselves as the
-engine runs.  Plan ordering, by contrast, uses only the static prior:
-the operand order fixes the answer's syntactic form, which must depend
-on the query alone — never on which statistics snapshot a particular
-engine loaded.  Giusti–Heintz–Kuijpers frame geometric query cost as
-dominated by elimination order and intermediate representation size —
-both are exactly what the observed ``size``/``disjunct`` statistics
-capture.
+one microsecond of evaluator work) and a selectivity, and plan ordering
+uses nothing else: the operand order fixes the answer's syntactic form,
+which must depend on the query alone.  Giusti–Heintz–Kuijpers frame
+geometric query cost as dominated by elimination order and intermediate
+representation size; the rewrites of :mod:`repro.optimizer.rewrite` act
+on both directly.
 
 Costs are exact :class:`~fractions.Fraction` values so plan ordering is
 deterministic across processes and ``PYTHONHASHSEED`` values.
@@ -21,11 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.logic import ast
-from repro.optimizer.statistics import (
-    Statistics,
-    StatisticsBook,
-    node_fingerprint,
-)
 
 #: Static per-node priors, in abstract units (~1 µs of evaluator work).
 #: Cheap cached bits first, then element-sort atoms that touch the
@@ -58,7 +49,7 @@ _ATOM_SELECTIVITY = {
 }
 
 #: Prior on the size of the region domain |Reg| (region quantifiers and
-#: fixpoint stages iterate over it) when no statistics are available.
+#: fixpoint stages iterate over it).
 REGION_DOMAIN_PRIOR = Fraction(8)
 
 #: Element quantifiers run Fourier–Motzkin projection over the body's
@@ -69,60 +60,12 @@ ELEMENT_QUANTIFIER_FACTOR = Fraction(4)
 #: region tuple; stages is bounded by |Reg|^arity.
 FIXPOINT_FACTOR = Fraction(16)
 
-#: Measured wall seconds → abstract units (1 unit ≈ 1 µs).
-_SECONDS_TO_UNITS = Fraction(1_000_000)
-
 
 class CostModel:
-    """Predicted evaluation cost per plan node, statistics-calibrated.
-
-    ``stats_hits`` / ``stats_misses`` count how many node lookups were
-    answered by persisted measurements versus the static prior — the
-    warm-run acceptance signal (``optimizer.stats_hits > 0``).
-    """
-
-    def __init__(
-        self, statistics: Statistics | StatisticsBook | None = None
-    ) -> None:
-        self.statistics = statistics or Statistics()
-        self.stats_hits = 0
-        self.stats_misses = 0
-        self._memo: dict[int, Fraction] = {}
-
-    # ------------------------------------------------------------------
-    # Calibration
-    # ------------------------------------------------------------------
-    def measured_cost(self, formula: ast.RegFormula) -> Fraction | None:
-        """The observed decayed-average cost of this node, if any."""
-        stats = self.statistics.get(node_fingerprint(formula))
-        if stats is None or stats.calls == 0:
-            self.stats_misses += 1
-            return None
-        self.stats_hits += 1
-        return stats.mean_wall() * _SECONDS_TO_UNITS
-
-    # ------------------------------------------------------------------
-    # Prediction
-    # ------------------------------------------------------------------
-    def cost(self, formula: ast.RegFormula) -> Fraction:
-        """Predicted cost of evaluating ``formula`` once (abstract units).
-
-        A measured statistic for this node wins over the static prior.
-        Prediction only — plan *ordering* uses :meth:`static_cost` so
-        the rewritten plan is a pure function of the query text, never
-        of which statistics snapshot an engine happened to load (two
-        engines over one store must produce byte-identical answers).
-        """
-        memo = self._memo.get(id(formula))
-        if memo is not None:
-            return memo
-        measured = self.measured_cost(formula)
-        value = measured if measured is not None else self.static_cost(formula)
-        self._memo[id(formula)] = value
-        return value
+    """Predicted evaluation cost per plan node, from static priors."""
 
     def static_cost(self, formula: ast.RegFormula) -> Fraction:
-        """The uncalibrated recursive prior (deterministic per query)."""
+        """The recursive static prior (deterministic per query)."""
         atom = _ATOM_COST.get(type(formula))
         if atom is not None:
             return atom
@@ -177,11 +120,9 @@ class CostModel:
         In a conjunction the most selective (likely-false) operand
         short-circuits the whole node; in a disjunction the least
         selective (likely-true) one does.  Cost dominates, selectivity
-        breaks ties.  Deliberately built on :meth:`static_cost`, not
-        the calibrated :meth:`cost`: the operand order decides the
-        answer's *syntactic* form, which must be identical for every
-        engine evaluating the same query — including engines sharing a
-        store whose statistics are being updated concurrently.
+        breaks ties.  The operand order decides the answer's
+        *syntactic* form, which must be identical for every engine
+        evaluating the same query.
         """
         selectivity = self.selectivity(formula)
         if not conjunctive:

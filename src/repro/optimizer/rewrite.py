@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING
 from repro.logic import ast
 from repro.logic.transform import optimize as _scope_optimize
 from repro.optimizer.cost import CostModel
-from repro.optimizer.statistics import Statistics, StatisticsBook
 
 if TYPE_CHECKING:
     from repro.optimizer.lift import RegionSort
@@ -74,11 +73,6 @@ class RewriteOutcome:
 
     formula: ast.RegFormula
     decisions: list[Decision]
-    model: CostModel
-
-    @property
-    def stats_hits(self) -> int:
-        return self.model.stats_hits
 
     def decisions_for(self, node: object) -> list[Decision]:
         return [d for d in self.decisions if d.node is node]
@@ -86,7 +80,6 @@ class RewriteOutcome:
 
 def rewrite_query(
     formula: ast.RegFormula,
-    statistics: Statistics | StatisticsBook | None = None,
     scope_minimize: bool = True,
     region_sort: "RegionSort | None" = None,
 ) -> RewriteOutcome:
@@ -96,7 +89,6 @@ def rewrite_query(
     a decomposition whose regions do not partition ℝᵈ) the element
     quantifiers stay on the element sort.
     """
-    model = CostModel(statistics)
     decisions: list[Decision] = []
     if scope_minimize:
         minimized = _scope_optimize(formula)
@@ -114,7 +106,7 @@ def rewrite_query(
         from repro.optimizer.lift import lift_regions
 
         formula, lifts = lift_regions(formula, region_sort)
-    rewritten = _Rewriter(model, decisions).rewrite(formula)
+    rewritten = _Rewriter(CostModel(), decisions).rewrite(formula)
     if lifts:
         # Later lifts and operand ordering rebuild lifted nodes; each
         # lift's fresh region variable is bound exactly once, so its
@@ -128,14 +120,7 @@ def rewrite_query(
             Decision(binders[name], chosen, because)
             for name, chosen, because in lifts
         )
-    # Calibration probe: predict every node of the final plan once so
-    # warm runs register their persisted-measurement hits (the
-    # ``optimizer.stats_hits`` acceptance signal) and EXPLAIN can show
-    # measured-vs-prior costs.  Ordering itself never consults these —
-    # see ``CostModel.order_key``.
-    for node in _walk(rewritten):
-        model.cost(node)
-    return RewriteOutcome(rewritten, decisions, model)
+    return RewriteOutcome(rewritten, decisions)
 
 
 def _walk(formula: ast.RegFormula):

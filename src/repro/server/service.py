@@ -377,7 +377,7 @@ class ConstraintService:
             rendered["formula"] = str(answer.formula)
             rendered["sample_points"] = [
                 [str(coordinate) for coordinate in point]
-                for point in answer.sample_points()[:SAMPLE_POINTS]
+                for point in answer.sample_points(limit=SAMPLE_POINTS)
             ]
         return rendered
 

@@ -33,7 +33,6 @@ from repro.store.codec import (
     arrangement_key,
     lineage_key,
     query_result_key,
-    statistics_key,
 )
 from repro.store.disk import DiskStore
 from repro.store.lineage import LineageRecord
@@ -50,7 +49,6 @@ __all__ = [
     "lineage_key",
     "query_result_key",
     "resolve_store",
-    "statistics_key",
     "store_at",
     "store_scope",
 ]

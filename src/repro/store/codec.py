@@ -26,11 +26,10 @@ Supported kinds: ``"arrangement"`` (:class:`~repro.arrangement.builder.
 Arrangement` — hyperplanes, faces with exact witness points, the
 defining relation), ``"relation"`` (:class:`~repro.constraints.
 relation.ConstraintRelation` — schema plus the full formula AST) and
-``"statistics"`` (:class:`~repro.optimizer.statistics.Statistics` —
-the optimizer's persisted per-plan-node measurements, all numbers
-exact rationals).  Formulas are encoded structurally (tagged nodes),
-not as source text, so the round-trip does not depend on parser
-conventions.
+``"lineage"`` (:class:`~repro.store.lineage.LineageRecord` — one
+version edge of an updated database).  Formulas are encoded
+structurally (tagged nodes), not as source text, so the round-trip
+does not depend on parser conventions.
 """
 
 from __future__ import annotations
@@ -60,11 +59,6 @@ from repro.constraints.formula import (
 )
 from repro.constraints.relation import ConstraintRelation
 from repro.constraints.terms import LinearTerm
-from repro.optimizer.statistics import (
-    STATS_VERSION,
-    NodeStats,
-    Statistics,
-)
 from repro.store.lineage import LineageRecord
 
 #: Bump on any change to the payload structure below.  Entries written
@@ -72,10 +66,12 @@ from repro.store.lineage import LineageRecord
 #: store) instead of being decoded with the wrong reader.  Adding the
 #: ``lineage`` kind did not bump it: existing kinds' payloads are
 #: untouched, and unknown-kind entries were already rejected by name.
+#: Nor did dropping the ``statistics`` kind: nothing reads or writes
+#: such entries any more, and they age out under the store's budget.
 SCHEMA_VERSION = 1
 
 #: The artifact kinds the codec understands.
-KINDS = ("arrangement", "relation", "statistics", "lineage")
+KINDS = ("arrangement", "relation", "lineage")
 
 
 class CodecError(ReproError):
@@ -328,83 +324,6 @@ def _dec_arrangement(value: Any) -> Arrangement:
     return Arrangement(dimension, planes, faces, relation)
 
 
-# ---------------------------------------------------------------------------
-# Optimizer statistics
-# ---------------------------------------------------------------------------
-def _enc_node_stats(stats: NodeStats) -> dict:
-    return {
-        "calls": _enc_fraction(stats.calls),
-        "wall": _enc_fraction(stats.wall),
-        "size": _enc_fraction(stats.size),
-        "obs": _enc_fraction(stats.observations),
-        "counters": {
-            name: _enc_fraction(value)
-            for name, value in sorted(stats.counters.items())
-        },
-    }
-
-
-def _dec_nonneg(value: Any, what: str) -> Fraction:
-    decoded = _dec_fraction(value)
-    if decoded < 0:
-        raise CodecError(f"negative {what} {decoded!r}")
-    return decoded
-
-
-def _dec_node_stats(value: Any) -> NodeStats:
-    if not isinstance(value, dict):
-        raise CodecError(f"malformed node statistics {value!r}")
-    counters_raw = value.get("counters")
-    if not isinstance(counters_raw, dict):
-        raise CodecError(f"malformed counters {counters_raw!r}")
-    counters = {}
-    for name, raw in counters_raw.items():
-        counters[_string(name)] = _dec_nonneg(raw, f"counter {name!r}")
-    return NodeStats(
-        calls=_dec_nonneg(value.get("calls"), "call count"),
-        wall=_dec_nonneg(value.get("wall"), "wall time"),
-        size=_dec_nonneg(value.get("size"), "size total"),
-        observations=_dec_nonneg(value.get("obs"), "observation count"),
-        counters=counters,
-    )
-
-
-def _enc_statistics(stats: Statistics) -> dict:
-    return {
-        "version": stats.version,
-        "runs": _enc_fraction(stats.runs),
-        "nodes": {
-            fingerprint: _enc_node_stats(node)
-            for fingerprint, node in sorted(stats.nodes.items())
-        },
-    }
-
-
-def _dec_statistics(value: Any) -> Statistics:
-    if not isinstance(value, dict):
-        raise CodecError(f"malformed statistics {value!r}")
-    version = value.get("version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise CodecError(f"malformed statistics version {version!r}")
-    if version != STATS_VERSION:
-        raise CodecError(
-            f"statistics version {version} != supported {STATS_VERSION}"
-        )
-    nodes_raw = value.get("nodes")
-    if not isinstance(nodes_raw, dict):
-        raise CodecError(f"malformed statistics nodes {nodes_raw!r}")
-    nodes = {}
-    for fingerprint, raw in nodes_raw.items():
-        if not _string(fingerprint):
-            raise CodecError("empty node fingerprint")
-        nodes[fingerprint] = _dec_node_stats(raw)
-    return Statistics(
-        nodes=nodes,
-        runs=_dec_nonneg(value.get("runs"), "run count"),
-        version=version,
-    )
-
-
 def _enc_lineage(record: LineageRecord) -> dict:
     payload: dict = {
         "parent": _string(record.parent),
@@ -459,13 +378,11 @@ def _dec_lineage(value: Any) -> LineageRecord:
 _ENCODERS = {
     "arrangement": (_enc_arrangement, Arrangement),
     "relation": (_enc_relation, ConstraintRelation),
-    "statistics": (_enc_statistics, Statistics),
     "lineage": (_enc_lineage, LineageRecord),
 }
 _DECODERS = {
     "arrangement": _dec_arrangement,
     "relation": _dec_relation,
-    "statistics": _dec_statistics,
     "lineage": _dec_lineage,
 }
 
@@ -612,16 +529,6 @@ def query_result_key(
         spatial_name,
         str(query),
     )
-
-
-def statistics_key(scope: str = "global") -> str:
-    """The disk key of the optimizer's persisted statistics.
-
-    Plan-node fingerprints are structural (database-independent), so
-    one ``"global"`` entry serves every database in the store and
-    measurements transfer between workloads.
-    """
-    return digest_key("statistics", scope)
 
 
 def lineage_key(child_fingerprint: str) -> str:

@@ -23,12 +23,6 @@ never wrong):
 * **bounded size** — with a ``size_budget`` (bytes), every save evicts
   least-recently-used entries (loads refresh an entry's mtime) until
   the store fits the budget again, counting ``store.evictions``;
-* **one statistics book** — :meth:`DiskStore.statistics_book` is the
-  optimizer's :class:`~repro.optimizer.statistics.StatisticsBook` for
-  this store, loaded once and shared by every engine of the process;
-  :meth:`DiskStore.flush_statistics` writes its snapshot back (the
-  engine calls it every ``FLUSH_RUNS`` runs, and one ``atexit`` hook
-  flushes every book once more at interpreter exit);
 * **observable** — ``store.hits`` / ``store.misses`` / ``store.writes``
   / ``store.corrupt_entries`` / ``store.evictions`` counters in the
   process registry, plus aggregate ``store.load`` / ``store.save``
@@ -40,42 +34,21 @@ simply starts a fresh subtree instead of misreading old entries.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import os
 import pathlib
 import threading
-import weakref
 
 from repro.obs.journal import JOURNAL
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.telemetry import get_telemetry
 from repro.obs.tracing import TRACER
-from repro.optimizer.statistics import Statistics, StatisticsBook
 from repro.store import codec
 
 #: Latency distributions of store round trips, bound once like the
 #: counters (one histogram observe per load/save — disk I/O dwarfs it).
 _H_LOAD_SECONDS = get_telemetry().histogram("store.load_seconds")
 _H_SAVE_SECONDS = get_telemetry().histogram("store.save_seconds")
-
-#: Stores whose statistics book has been opened: flushed once at exit.
-_BOOKED_STORES: "weakref.WeakSet[DiskStore]" = weakref.WeakSet()
-
-
-def _flush_books_at_exit() -> None:
-    for store in list(_BOOKED_STORES):
-        # A store whose directory is gone (a removed temporary cache)
-        # is not recreated just to hold advisory statistics.
-        if not store.root.is_dir():
-            continue
-        try:
-            store.flush_statistics()
-        except (OSError, codec.CodecError):  # pragma: no cover
-            pass
-
-
-atexit.register(_flush_books_at_exit)
 
 
 class DiskStore:
@@ -105,11 +78,6 @@ class DiskStore:
         self._c_writes = registry.counter("store.writes")
         self._c_corrupt = registry.counter("store.corrupt_entries")
         self._c_evictions = registry.counter("store.evictions")
-        self._c_stats_flushes = registry.counter("optimizer.stats_flushes")
-        # Guards opening the book and orders its write-backs, so a
-        # newer snapshot is never overwritten by an older one.
-        self._book_lock = threading.Lock()
-        self._book: StatisticsBook | None = None
 
     # ------------------------------------------------------------------
     # Layout
@@ -208,47 +176,6 @@ class DiskStore:
                 with self._mutate_lock:
                     self._evict()
         return path
-
-    # ------------------------------------------------------------------
-    # Optimizer statistics
-    # ------------------------------------------------------------------
-    def statistics_book(self) -> StatisticsBook:
-        """The store's shared statistics book, loaded on first use.
-
-        A missing or corrupt entry (quarantined by :meth:`load`) opens
-        an empty book: statistics can degrade a plan back to the static
-        priors, never make it wrong.
-        """
-        book = self._book
-        if book is not None:
-            return book
-        with self._book_lock:
-            if self._book is None:
-                loaded = self.load("statistics", codec.statistics_key())
-                self._book = StatisticsBook(
-                    loaded if isinstance(loaded, Statistics) else None
-                )
-                _BOOKED_STORES.add(self)
-            return self._book
-
-    def flush_statistics(self) -> bool:
-        """Write the book's snapshot back if it holds unwritten runs."""
-        with self._book_lock:
-            if self._book is None:
-                return False
-            snapshot = self._book.take_pending()
-            if snapshot is None:
-                return False
-            self.save("statistics", codec.statistics_key(), snapshot)
-        self._c_stats_flushes.inc()
-        return True
-
-    def reset_statistics(self) -> None:
-        """Empty the book and the persisted entry."""
-        with self._book_lock:
-            if self._book is not None:
-                self._book.reset()
-            self.save("statistics", codec.statistics_key(), Statistics())
 
     @staticmethod
     def _journal(kind: str, key: str, outcome: str) -> None:

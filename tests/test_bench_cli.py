@@ -65,8 +65,6 @@ class TestBenchRunners:
         assert record["benchmark"] == "E14"
         assert record["all_match"] is True
         assert record["geomean_speedup"] is not None
-        # The warm planner must have consumed the cold run's statistics.
-        assert record["metadata"]["optimizer_stats"]["stats_hits"] > 0
         for row in record["results"]:
             assert row["match"] is True
 

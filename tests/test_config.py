@@ -9,6 +9,7 @@ is what ``QueryEngine(db)`` builds when given no config.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -213,10 +214,11 @@ def test_explain_lists_only_kept_knobs(clean_env, tmp_path):
     path = tmp_path / "db.cdb"
     save_database(_interval_db(), path)
     buffer = io.StringIO()
-    assert main(["explain", str(path), "exists x0. S(x0)"], out=buffer) == 0
-    knobs = [
-        line.split("knob ", 1)[1].split()[0]
-        for line in buffer.getvalue().splitlines()
-        if "knob " in line
-    ]
-    assert knobs == ["lp_mode", "jobs", "executor"]
+    assert main(
+        ["explain", str(path), "exists x0. S(x0)", "--json"], out=buffer
+    ) == 0
+    detail = json.loads(buffer.getvalue())["plan"]["detail"]
+    knobs = set(detail) - {
+        "language", "relations", "result", "optimizer", "chosen", "because",
+    }
+    assert knobs == {"lp_mode", "jobs", "executor"}

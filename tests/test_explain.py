@@ -74,7 +74,7 @@ class TestCompile:
         assert root.detail["relations"] == ["S"]
         # The region lift turns ∃x0. S(x0) into ∃R⟨x0⟩. sub(R⟨x0⟩, S).
         assert [child.op for child in root.children] == \
-            ["setup", "ExistsRegion", "optimizer"]
+            ["setup", "ExistsRegion"]
         lifted = root.children[1]
         assert lifted.detail["chosen"].startswith("region lift x0 → ")
         atom = lifted.children[0]

@@ -1,15 +1,20 @@
-"""The cost-based optimizer: rewrites preserve answers, knobs resolve.
+"""The cost-based optimizer: rewrites preserve answers and are stable.
 
 The optimizer's contract has three parts.  *Soundness*: every plan
 rewrite (NNF + miniscoping, operand ordering, quantifier-chain
 rotation, datalog body reordering) denotes the same answer as the
 ablated plan — ``optimizer="off"`` is the oracle.  *Transparency*:
 decisions are recorded and surfaced as ``chosen``/``because`` lines in
-EXPLAIN.  *Adaptivity*: knobs resolve explicit > environment >
-statistics > default, and a warm engine consumes the statistics a cold
-engine persisted.
+EXPLAIN, next to the resolved runtime knobs.  *Determinism*: a plan is
+a function of the query text alone, so answers and their store keys
+are identical across engines, processes and ``PYTHONHASHSEED`` values.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,14 +23,7 @@ from repro.config import EngineConfig
 from repro.engine import QueryEngine
 from repro.logic import ast
 from repro.logic.parser import parse_query
-from repro.optimizer import Statistics, make_node_stats, node_fingerprint
 from repro.optimizer.cost import CostModel
-from repro.optimizer.knobs import (
-    GLOBAL_ARRANGEMENT,
-    GLOBAL_LP,
-    choose_knobs,
-    decided,
-)
 from repro.optimizer.rewrite import (
     order_program,
     order_rule_body,
@@ -110,95 +108,14 @@ class TestCostModel:
         set_atom = ast.SetAtom("M", ("R", "Rp"))
         adj = ast.Adj("R", "Rp")
         relation = parse_query("S(x)")
-        assert model.cost(set_atom) < model.cost(adj)
-        assert model.cost(adj) < model.cost(relation)
+        assert model.static_cost(set_atom) < model.static_cost(adj)
+        assert model.static_cost(adj) < model.static_cost(relation)
 
     def test_quantifiers_multiply_cost(self):
         model = CostModel()
         body = parse_query("S(x)")
         quantified = ast.ExistsElem("x", body)
-        assert model.cost(quantified) > model.cost(body)
-
-    def test_measured_cost_overrides_static(self):
-        formula = parse_query("S(x)")
-        slow = Statistics().merge(
-            {node_fingerprint(formula): make_node_stats(calls=1, wall=2)}
-        )
-        with_stats = CostModel(slow)
-        without = CostModel()
-        assert with_stats.cost(formula) > without.cost(formula)
-        assert with_stats.stats_hits == 1
-        assert without.stats_hits == 0
-
-
-class TestKnobs:
-    def test_explicit_config_always_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_MODE", "exact")
-        config = EngineConfig(lp_mode="filtered")
-        decision = decided(choose_knobs(config), "lp_mode")
-        assert decision.chosen == "filtered"
-        assert decision.because == "explicit configuration"
-
-    def test_environment_beats_statistics(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_MODE", "exact")
-        stats = Statistics().merge(
-            {
-                GLOBAL_LP: make_node_stats(
-                    calls=1,
-                    counters={"lp.filter_hits": 100},
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "lp_mode")
-        assert decision.chosen == "exact"
-        assert "REPRO_LP_MODE" in decision.because
-
-    def test_high_fallback_rate_chooses_exact(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_MODE", raising=False)
-        stats = Statistics().merge(
-            {
-                GLOBAL_LP: make_node_stats(
-                    calls=1,
-                    counters={
-                        "lp.filter_hits": 1,
-                        "lp.filter_fallbacks": 9,
-                    },
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "lp_mode")
-        assert decision.chosen == "exact"
-        assert decision.from_stats
-
-    def test_big_arrangements_choose_parallel_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        stats = Statistics().merge(
-            {
-                GLOBAL_ARRANGEMENT: make_node_stats(
-                    calls=1,
-                    counters={"arrangement.faces": 100_000},
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "jobs")
-        import os
-
-        expected = min(4, os.cpu_count() or 1)
-        if expected > 1:
-            assert decision.chosen == str(expected)
-            assert decision.from_stats
-
-    def test_small_arrangements_stay_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        stats = Statistics().merge(
-            {
-                GLOBAL_ARRANGEMENT: make_node_stats(
-                    calls=1, counters={"arrangement.faces": 10}
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "jobs")
-        assert decision.chosen == "1"
+        assert model.static_cost(quantified) > model.static_cost(body)
 
 
 class TestDatalogBodyOrdering:
@@ -320,26 +237,6 @@ class TestEngineIntegration:
         assert planned is formula
         assert outcome is None
 
-    def test_warm_engine_reports_stats_hits(self, tmp_path):
-        database = interval_chain(4)
-        formula = parse_query("exists x. exists y. (S(x) & S(y) & x < 1)")
-        cold = QueryEngine(
-            database,
-            config=EngineConfig.resolve(
-                cache_dir=str(tmp_path), optimizer="on"
-            ),
-        )
-        cold.evaluate(formula)
-        assert cold.stats()["optimizer"]["stats_updates"] >= 1
-        warm = QueryEngine(
-            database,
-            config=EngineConfig.resolve(
-                cache_dir=str(tmp_path), optimizer="on"
-            ),
-        )
-        warm.evaluate(formula)
-        assert warm.stats()["optimizer"]["stats_hits"] > 0
-
     def test_stats_block_present_and_gated(self):
         on = QueryEngine(
             interval_chain(3), config=EngineConfig(optimizer="on")
@@ -349,6 +246,37 @@ class TestEngineIntegration:
         )
         assert on.stats()["optimizer"]["enabled"] is True
         assert off.stats()["optimizer"]["enabled"] is False
+
+    def test_engines_sharing_a_store_return_identical_answers(
+        self, tmp_path
+    ):
+        from repro.engine import EngineCache
+        from repro.obs.metrics import MetricsRegistry
+        from repro.store import codec
+        from repro.store.disk import DiskStore
+
+        store = DiskStore(tmp_path, metrics=MetricsRegistry())
+        database = interval_chain(4)
+
+        def engine(cache_dir):
+            return QueryEngine(
+                database,
+                cache=EngineCache(metrics=MetricsRegistry()),
+                config=EngineConfig(optimizer="on", cache_dir=cache_dir),
+            )
+
+        one, two, unstored = engine(store), engine(store), engine(None)
+        texts = (
+            "S(x) & (exists y. (S(y) & y <= x))",
+            "exists y. S(y) & x0 - y <= 1/3 & y - x0 <= 1/3",
+        ) + EQUIVALENCE_QUERIES[:3]
+        for text in texts:
+            first = codec.dumps("relation", one.evaluate(text))
+            hits = store.stats()["hits"]
+            second = codec.dumps("relation", two.evaluate(text))
+            assert store.stats()["hits"] == hits + 1
+            assert second == first
+            assert codec.dumps("relation", unstored.evaluate(text)) == first
 
     def test_env_gate_disables_rewrites(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPTIMIZER", "off")
@@ -368,11 +296,19 @@ class TestExplainAnnotations:
             "(exists x. exists y. ((x) in R & (y) in Rp & x <= y)))) "
             "& (exists w. (S(w) & w + 2 < 0))"
         )
-        text = engine.explain(formula).format()
+        result = engine.explain(formula)
+        text = result.format()
         assert "chosen:" in text
         assert "because:" in text
-        assert "Optimizer: adaptive knobs" in text
-        assert "knob lp_mode" in text
+        # The resolved knobs sit on the root next to ``optimizer``; no
+        # synthetic knob subtree is appended to the plan.
+        assert {"optimizer", "lp_mode", "jobs", "executor"} <= set(
+            result.plan.detail
+        )
+        assert not [
+            node for node in result.plan.walk()
+            if node.op in ("optimizer", "knob")
+        ]
 
     def test_explain_json_carries_decisions(self):
         engine = QueryEngine(
@@ -397,6 +333,86 @@ class TestExplainAnnotations:
             interval_chain(3), config=EngineConfig(optimizer="off")
         )
         formula = parse_query("exists x. S(x)")
-        text = engine.explain(formula).format()
-        assert "Optimizer: adaptive knobs" not in text
-        assert "optimizer=off" in text
+        result = engine.explain(formula)
+        assert "optimizer=off" in result.format()
+        assert not [
+            node for node in result.plan.walk()
+            if node.op in ("optimizer", "knob")
+        ]
+
+    def test_root_detail_carries_resolved_knobs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LP_MODE", "exact")
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        formula = parse_query("exists x. exists y. (S(x) & S(y) & x < 1)")
+        # Unset fields resolve environment > default ...
+        deferred = QueryEngine(
+            interval_chain(3), config=EngineConfig(optimizer="on")
+        ).explain(formula)
+        assert {
+            key: deferred.plan.detail[key]
+            for key in ("lp_mode", "jobs", "executor")
+        } == {"lp_mode": "exact", "jobs": 3, "executor": "compiled"}
+        # ... and explicit fields beat the environment.
+        explicit = QueryEngine(
+            interval_chain(3),
+            config=EngineConfig(
+                optimizer="off", lp_mode="filtered", jobs=1,
+                executor="interpreted",
+            ),
+        ).explain(formula)
+        assert {
+            key: explicit.plan.detail[key]
+            for key in ("lp_mode", "jobs", "executor")
+        } == {"lp_mode": "filtered", "jobs": 1, "executor": "interpreted"}
+        assert "lp_mode=filtered" in explicit.format()
+
+
+#: Prints, for each query, the optimizer-on answer's store key, the
+#: rewritten plan, its decisions and the answer's codec bytes.
+HASHSEED_PROBE = r"""
+import hashlib, json
+from repro.config import EngineConfig
+from repro.engine import QueryEngine
+from repro.store import codec, query_result_key
+from repro.workloads.generators import interval_chain
+
+engine = QueryEngine(interval_chain(4), config=EngineConfig(optimizer="on"))
+rows = []
+for text in (
+    "exists x. exists y. exists z. (S(x) & S(y) & S(z) & x < 1)",
+    "S(x) & (exists y. (S(y) & y <= x))",
+    "exists y. S(y) & y - x0 >= 1/2 & y - x0 <= 3/2",
+):
+    plan, outcome = engine.plan(text)
+    answer = engine.evaluate(text)
+    rows.append({
+        "key": query_result_key(
+            engine.fingerprint, engine.decomposition, engine.spatial_name,
+            engine.result_key_text(text, True),
+        ),
+        "plan": str(plan),
+        "decisions": [d.describe() for d in outcome.decisions],
+        "answer": hashlib.sha256(codec.dumps("relation", answer)).hexdigest(),
+    })
+print(json.dumps(rows, sort_keys=True))
+"""
+
+
+class TestHashSeedDeterminism:
+    def test_keys_plans_and_answers_survive_hash_seeds(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        outputs = {}
+        for seed in ("0", "42", "31337"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = src
+            env.pop("REPRO_CACHE_DIR", None)
+            proc = subprocess.run(
+                [sys.executable, "-c", HASHSEED_PROBE],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs[seed] = proc.stdout
+        assert len(set(outputs.values())) == 1, outputs
+        rows = json.loads(outputs["0"])
+        assert len({row["key"] for row in rows}) == len(rows)

@@ -10,6 +10,7 @@ request id and tenant.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -56,6 +57,31 @@ def test_query_response_shape(service):
     assert answer["variables"] == ["x0"]
     assert answer["empty"] is False
     assert answer["sample_points"], "non-empty answers carry witnesses"
+
+
+def test_render_answer_solves_only_the_shown_witnesses():
+    from repro.engine import QueryEngine
+    from repro.obs.metrics import get_registry
+    from repro.server.service import SAMPLE_POINTS
+    from repro.workloads.generators import interval_chain
+
+    answer = QueryEngine(interval_chain(9)).evaluate("S(x0)")
+    registry = get_registry()
+
+    def lp_work() -> int:
+        return registry.get("lp.solves") + registry.get("lp.cache_hits")
+
+    before = lp_work()
+    rendered = ConstraintService._render_answer(answer)
+    assert lp_work() - before <= SAMPLE_POINTS == 5
+    every = answer.sample_points()
+    assert len(every) > SAMPLE_POINTS
+    expected = dict(rendered, sample_points=[
+        [str(coordinate) for coordinate in point]
+        for point in every[:SAMPLE_POINTS]
+    ])
+    assert json.dumps(rendered, sort_keys=True) == \
+        json.dumps(expected, sort_keys=True)
 
 
 def test_boolean_query_reports_truth(service):

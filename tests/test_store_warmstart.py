@@ -201,3 +201,73 @@ def test_bench_metadata_reports_store(tmp_path, monkeypatch):
     warm = json.loads(warm_out.getvalue())
     assert warm["all_match"]
     assert warm["metadata"]["store"]["hits"] > 0
+
+
+#: The raw bytes of a ``statistics`` entry as earlier versions wrote it
+#: (the optimizer's persisted per-plan-node measurements, a kind the
+#: codec no longer has), with the key those versions filed it under.
+OLD_STATISTICS_KEY = (
+    "491d2d178f0544e2ffda38ba49e597c570aceeccb63c4fc9f8724273209e90b0"
+)
+OLD_STATISTICS_BYTES = (
+    b'{"checksum":"7f7183d27bb7cc203790da28072fb44f9cd25b930f4b53ed144385'
+    b'0db86b977d","kind":"statistics","payload":{"nodes":{"5a31000863353a'
+    b'2a36c8c49bcf8299f092e5892cfb62e813f28bd5d41216f5df":{"calls":[1,1],'
+    b'"counters":{"lp.solves":[2,1]},"obs":[1,1],"size":[7,1],"wall":[3,1'
+    b'000]}},"runs":[1,1],"version":1},"schema":1}'
+)
+
+
+def plant_old_statistics(store: DiskStore):
+    path = (
+        store.entries_root / "statistics" / OLD_STATISTICS_KEY[:2]
+        / f"{OLD_STATISTICS_KEY}.json"
+    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(OLD_STATISTICS_BYTES)
+    return path
+
+
+def test_store_with_old_statistics_entry_still_warms(tmp_path):
+    database = interval_chain(3)
+    query = "exists y. S(y) & x0 - y <= 1/3 & y - x0 <= 1/3"
+    store = private_store(tmp_path)
+    planted = plant_old_statistics(store)
+
+    def engine():
+        return QueryEngine(
+            database, cache=EngineCache(metrics=MetricsRegistry()),
+            config=EngineConfig(cache_dir=store, optimizer="on"),
+        )
+
+    cold = engine().evaluate(query)
+    hits = store.stats()["hits"]
+    warm = engine().evaluate(query)
+    assert store.stats()["hits"] == hits + 1
+    assert str(warm) == str(cold)
+    assert store.stats()["corrupt_entries"] == 0
+    assert not store.quarantine_root.exists() or not any(
+        store.quarantine_root.iterdir()
+    )
+    assert planted.read_bytes() == OLD_STATISTICS_BYTES
+
+
+def test_old_statistics_entry_counts_and_ages_out(tmp_path):
+    import os
+
+    store = private_store(tmp_path, size_budget=6000)
+    planted = plant_old_statistics(store)
+    stats = store.stats()
+    assert stats["entries"] == 1
+    assert stats["bytes"] == len(OLD_STATISTICS_BYTES)
+    os.utime(planted, (1, 1))  # the least recently used entry
+    for k in range(1, 6):
+        build_arrangement(
+            ConstraintRelation.make(
+                ("x", "y"),
+                parse_formula(f"x >= 0 & y >= 0 & x + y <= {k}"),
+            ),
+            store=store,
+        )
+    assert store.stats()["evictions"] > 0
+    assert not planted.exists()
