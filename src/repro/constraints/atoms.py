@@ -64,12 +64,19 @@ class Op(enum.Enum):
         return self.value
 
 
+_UNSET = object()
+
+
 @dataclass(frozen=True)
 class Atom(HashOnce):
     """The atomic constraint ``term OP 0`` (hashed once, see HashOnce)."""
 
     term: LinearTerm
     op: Op
+
+    #: :attr:`difference_edges` once computed; a class attribute, not a
+    #: field, so equality and repr ignore it (as ``HashOnce._hash``).
+    _difference_edges = _UNSET
 
     def __hash__(self) -> int:
         cached = self._hash
@@ -85,6 +92,23 @@ class Atom(HashOnce):
     @property
     def variables(self) -> tuple[str, ...]:
         return self.term.variables
+
+    @property
+    def difference_edges(self) -> tuple[tuple, ...] | None:
+        """This atom as difference bounds; ``None`` for a general atom.
+
+        A difference atom has one variable, or two with opposite
+        coefficients (``a·x − a·y + k ⋈ 0``); a constant atom is one
+        too, a bound of the zero node on itself.  Each edge
+        ``(u, v, (c, weak))`` reads ``u − v ≤ c`` (``<`` unless
+        ``weak``), with ``None`` for the zero node; ``=`` gives two
+        edges.  Computed once and kept on the atom, like the hash.
+        """
+        cached = self._difference_edges
+        if cached is _UNSET:
+            cached = _difference_edges(self.term, self.op)
+            object.__setattr__(self, "_difference_edges", cached)
+        return cached
 
     def holds_at(self, assignment: Mapping[str, Fraction]) -> bool:
         """Exact truth value at a rational assignment."""
@@ -139,6 +163,33 @@ class Atom(HashOnce):
         return f"{linear} {self.op.value} {-self.term.constant}"
 
 
+def _difference_edges(term: LinearTerm, op: Op) -> tuple[tuple, ...] | None:
+    """The edges of :attr:`Atom.difference_edges` for ``term op 0``."""
+    coefficients = term.coefficients
+    if not coefficients:
+        first = second = None
+        scale = 1
+    elif len(coefficients) == 1:
+        ((first, scale),) = coefficients
+        second = None
+    elif len(coefficients) == 2 and coefficients[0][1] == -coefficients[1][1]:
+        (first, scale), (second, __) = coefficients
+    else:
+        return None
+    # scale·(first − second) + constant ⋈ 0, so first − second ⋈' c.
+    # An integral c is kept as an int: the closure then adds ints.
+    c = -term.constant / scale
+    if c.denominator == 1:
+        c = c.numerator
+    if scale < 0:
+        op = op.flipped()
+    if op is Op.LE or op is Op.LT:
+        return ((first, second, (c, op is Op.LE)),)
+    if op is Op.GE or op is Op.GT:
+        return ((second, first, (-c, op is Op.GE)),)
+    return ((first, second, (c, True)), (second, first, (-c, True)))
+
+
 def atom_from_constraint(
     constraint: LinearConstraint, variable_order: Sequence[str]
 ) -> Atom:
@@ -148,3 +199,4 @@ def atom_from_constraint(
         constraint.coeffs, -constraint.rhs, variable_order
     )
     return Atom(term, rel_to_op[constraint.rel])
+

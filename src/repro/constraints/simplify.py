@@ -17,22 +17,29 @@ The functions here work on the ``Disjunct`` representation of
 implied, list = disjunction).
 
 Every feasibility verdict goes through :func:`disjunct_feasible`, which
-first asks :func:`feasibility_certificate` — an O(atoms) bound sweep
-whose ``True`` is an exactly checked point and whose ``False`` is an
-empty relaxed box or a one-variable contradiction — and only builds
+first asks :func:`feasibility_certificate` and only builds
 ``LinearConstraint`` rows for the exact LP when the certificate is
-undecided.  Both executors and the element-query path therefore share
-one decision.  Every pruning entry point accepts an optional
-``feasibility`` callable (``Disjunct -> bool``) in its place; the
-compiled executor (:mod:`repro.ir.kernels`) passes a memo over
-:func:`disjunct_feasible` this way, so both executors run the *same*
+undecided.  The certificate closes the conjunction's difference atoms
+(one variable, or two with opposite coefficients: the fragment every
+fixpoint stage of the paper's reachability programs lives in) as a
+difference-bound matrix, :func:`difference_closure`.  A negative cycle
+proves the conjunction empty; otherwise back-substitution on the
+closure places a point, and ``True`` needs that point to satisfy every
+atom exactly, so a pure difference conjunction is always decided and
+only conjunctions with general atoms can reach the LP.  Implication
+(redundant atoms, subsumed disjuncts) is read off the same closure by
+:func:`entailment_certificate`.  Both executors and the element-query
+path therefore share one decision.  Every pruning entry point accepts
+an optional ``feasibility`` callable (``Disjunct -> bool``) in its
+place; the compiled executor (:mod:`repro.ir.kernels`) passes a memo
+over :func:`disjunct_feasible` to the products and prunes this way, and
+leaves implication to its default, so both executors run the *same*
 control flow over the same disjunct orders and produce byte-identical
 formulas.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from repro.geometry.simplex import feasible, interval_point
@@ -43,162 +50,191 @@ from repro.obs.metrics import get_registry
 #: Signature of a pluggable feasibility decision over a conjunction.
 FeasibilityFn = Callable[[Disjunct], bool]
 
-#: Verdicts :func:`disjunct_feasible` took from the certificate, no LP.
+#: Verdicts taken from the difference closure, with no LP: feasibility
+#: verdicts of :func:`disjunct_feasible` and implication verdicts of
+#: :func:`remove_redundant_atoms` and :func:`_subsumed`.
 _CERTIFIED = get_registry().counter("lp.certified")
 
-_LE_OPS = (Op.LE, Op.LT, Op.EQ)
-_GE_OPS = (Op.GE, Op.GT, Op.EQ)
+#: A matrix entry ``(c, weak)`` bounds ``x_i − x_j`` by ``≤ c`` when
+#: ``weak``, else by ``< c``; tuples order by tightness.  This one is
+#: ``x_i − x_i ≤ 0``, the diagonal of a consistent matrix.
+_DIAGONAL = (0, True)
 
 
-def _bound(
-    coeff: Fraction, rest: Fraction, op: Op
-) -> tuple[Fraction, int, bool]:
-    """``coeff·v + rest OP 0`` (``coeff`` non-zero) as a bound on ``v``.
+def difference_closure(disjunct: Disjunct, *, complete: bool = False):
+    """The closed difference-bound matrix of a conjunction's difference
+    atoms, or ``None`` when they are inconsistent.
 
-    Returns ``(value, side, strict)``: ``side`` is 1 for ``v ≤ value``
-    (``<`` when ``strict``), -1 for ``v ≥ value`` and 0 for
-    ``v = value``.
+    Node 0 is the constant zero; every variable of an edge
+    (:attr:`~repro.constraints.atoms.Atom.difference_edges`) gets the
+    next index, in atom order.  Floyd–Warshall closes the matrix: a sum
+    of two bounds adds the values and ors the strictness, and a diagonal
+    entry below ``(0, ≤)`` is a negative cycle, so ``None`` — sound for
+    any conjunction, since these atoms are a subset of it.  Returns
+    ``(nodes, matrix, edges, general)``: ``nodes`` maps each variable
+    (and ``None``, the zero node) to its index, ``matrix[i][j]`` is the
+    tightest implied ``(c, weak)`` bound on ``x_i − x_j`` (``None``
+    when unbounded), ``edges`` lists every difference atom's edges, and
+    ``general`` the atoms outside the fragment.
+
+    When no atom joins two variables the matrix is a star of interval
+    bounds around the zero node; it is left as it is unless
+    ``complete``, and an empty interval then shows only when a variable
+    is placed.
     """
-    if coeff == 1:
-        value = -rest
-    elif coeff == -1:
-        value = rest
-    else:
-        value = -rest / coeff
-    if op is Op.EQ:
-        return value, 0, False
-    return (
-        value,
-        1 if (op is Op.LE or op is Op.LT) == (coeff > 0) else -1,
-        op is Op.LT or op is Op.GT,
-    )
-
-
-def _tighten(entry: list, value: Fraction, side: int, strict: bool) -> bool:
-    """Meet ``entry`` = [lower, lower_strict, upper, upper_strict, pinned]
-    with one bound, by the rules of the exact interval solve; ``False``
-    on two different pinned values."""
-    if side == 0:
-        pinned = entry[4]
-        if pinned is not None and pinned != value:
-            return False
-        entry[4] = value
-    elif side > 0:
-        upper = entry[2]
-        if upper is None or value < upper or (value == upper and strict):
-            entry[2] = value
-            entry[3] = strict
-    else:
-        lower = entry[0]
-        if lower is None or value > lower or (value == lower and strict):
-            entry[0] = value
-            entry[1] = strict
-    return True
+    nodes: dict = {None: 0}
+    edges: list = []
+    general: list[Atom] = []
+    joined = False
+    for atom in disjunct:
+        atom_edges = atom.difference_edges
+        if atom_edges is None:
+            general.append(atom)
+            continue
+        edges.extend(atom_edges)
+        for u, v, __ in atom_edges:
+            if u not in nodes:
+                nodes[u] = len(nodes)
+            if v not in nodes:
+                nodes[v] = len(nodes)
+            if u is not None and v is not None:
+                joined = True
+    size = len(nodes)
+    matrix: list[list] = [[None] * size for __ in range(size)]
+    for i in range(size):
+        matrix[i][i] = _DIAGONAL
+    for u, v, bound in edges:
+        row = matrix[nodes[u]]
+        j = nodes[v]
+        old = row[j]
+        if old is None or bound < old:
+            row[j] = bound
+    if matrix[0][0] < _DIAGONAL:  # a constant atom that fails
+        return None
+    if joined or complete:
+        # Without a joining edge every path runs through the zero node,
+        # so pivoting on it alone closes the matrix.
+        for k in range(size) if joined else (0,):
+            onward = [
+                (j, bound)
+                for j, bound in enumerate(matrix[k])
+                if bound is not None and j != k
+            ]
+            for i in range(size):
+                row_i = matrix[i]
+                to_k = row_i[k]
+                if to_k is None or i == k:
+                    continue
+                value, weak = to_k
+                for j, (step, step_weak) in onward:
+                    total = value + step
+                    old = row_i[j]
+                    if old is None or total < old[0] or (
+                        total == old[0] and old[1]
+                        and not (weak and step_weak)
+                    ):
+                        row_i[j] = (total, weak and step_weak)
+        for i in range(size):
+            if matrix[i][i] < _DIAGONAL:
+                return None
+    return nodes, matrix, edges, general
 
 
 def feasibility_certificate(disjunct: Disjunct) -> bool | None:
     """A proof that a conjunction is (non-)empty, ``None`` when undecided.
 
-    One sweep collects every one-variable atom as a bound on its
-    variable, strictness included, and places each such variable as the
-    exact interval solve would (:func:`~repro.geometry.simplex.\
-interval_point`): an empty interval is an exact contradiction, so
-    ``False``.  ``False`` also comes from a constant atom that fails and
-    from a multi-variable atom that no point of the relaxed (closed)
-    bound box satisfies — the LP verdict is then ``False`` as well.
-    Variables bounded only through multi-variable atoms are placed next,
-    in sorted order, each from the atoms whose other variables are
-    already placed (midpoint, ``lower + 1``, ``upper - 1`` or 0).
-    ``True`` is returned only when the whole point satisfies every atom
-    exactly, strictness included — a witness, so the LP verdict is
-    ``True``.  A conjunction of one-variable atoms is always decided.
+    ``False`` when its difference atoms are inconsistent
+    (:func:`difference_closure`).  Otherwise the variables are placed in
+    node order by back-substitution on the closure: each takes the value
+    the exact interval solve would (:func:`~repro.geometry.simplex.\
+interval_point`) between the bounds the closure sets against the
+    variables already placed; variables of general atoms only take 0.
+    On a closed, consistent matrix that interval is never empty, and on
+    a star of one-variable bounds an empty one is an exact
+    contradiction, so ``False``.  ``True`` is returned only when the
+    whole point satisfies every atom exactly, strictness included — a
+    witness.  A pure difference conjunction is therefore always
+    decided; one with general atoms may be left to the LP.
     """
-    # variable -> [lower, lower_strict, upper, upper_strict, pinned]
-    bounds: dict[str, list] = {}
-    multi: list[Atom] = []
-    for atom in disjunct:
-        term = atom.term
-        coeffs = term.coefficients
-        if len(coeffs) != 1:
-            if coeffs:
-                multi.append(atom)
-            elif not atom.op.holds(term.constant):
-                return False
-            continue
-        ((name, coeff),) = coeffs
-        entry = bounds.get(name)
-        if entry is None:
-            entry = bounds[name] = [None, False, None, False, None]
-        if not _tighten(entry, *_bound(coeff, term.constant, atom.op)):
-            return False
-    point: dict[str, Fraction] = {}
-    for name, entry in bounds.items():
-        value = interval_point(*entry)
-        if value is None:
-            return False
-        point[name] = value
-    for atom in multi:
-        term = atom.term
-        low = high = term.constant
-        for name, coeff in term.coefficients:
-            entry = bounds.get(name)
-            if entry is None:
-                low = high = None
-                break
-            pinned = entry[4]
-            if pinned is not None:
-                piece_low = piece_high = pinned
-            elif coeff > 0:
-                piece_low, piece_high = entry[0], entry[2]
-            else:
-                piece_low, piece_high = entry[2], entry[0]
-            low = None if low is None or piece_low is None else (
-                low + coeff * piece_low
-            )
-            high = None if high is None or piece_high is None else (
-                high + coeff * piece_high
-            )
-            if low is None and high is None:
-                break
-        if low is not None and low > 0 and atom.op in _LE_OPS:
-            return False
-        if high is not None and high < 0 and atom.op in _GE_OPS:
-            return False
-    pending = sorted({
-        name
-        for atom in multi
-        for name, __ in atom.term.coefficients
-        if name not in point
-    })
-    for name in pending:
-        entry = [None, False, None, False, None]
-        for atom in multi:
-            term = atom.term
-            rest = term.constant
-            own = None
-            for other, coeff in term.coefficients:
-                if other == name:
-                    own = coeff
-                elif other in point:
-                    rest += coeff * point[other]
-                else:
-                    break
-            else:
-                if own is not None and not _tighten(
-                    entry, *_bound(own, rest, atom.op)
+    closure = difference_closure(disjunct)
+    if closure is None:
+        return False
+    nodes, matrix, edges, general = closure
+    # Integral bounds keep integral values: ints add fast, and
+    # interval_point's midpoint of two ints is an exact Fraction.
+    values = [0] * len(nodes)
+    for i in range(1, len(nodes)):
+        lower = upper = None
+        lower_strict = upper_strict = False
+        row_i = matrix[i]
+        for j in range(i):
+            placed = values[j]
+            above = row_i[j]  # x_i − x_j ≤ c, so x_i ≤ x_j + c
+            if above is not None:
+                value = placed + above[0]
+                strict = not above[1]
+                if upper is None or value < upper or (
+                    value == upper and strict
                 ):
-                    return None
-        value = interval_point(*entry)
+                    upper, upper_strict = value, strict
+            below = matrix[j][i]  # x_j − x_i ≤ c, so x_i ≥ x_j − c
+            if below is not None:
+                value = placed - below[0]
+                strict = not below[1]
+                if lower is None or value > lower or (
+                    value == lower and strict
+                ):
+                    lower, lower_strict = value, strict
+        value = interval_point(lower, lower_strict, upper, upper_strict, None)
         if value is None:
+            return False
+        values[i] = value
+    # The check: every difference atom through its edges, every general
+    # atom through its term.
+    for u, v, (c, weak) in edges:
+        gap = values[nodes[u]] - values[nodes[v]]
+        if gap > c or (gap == c and not weak):
             return None
-        point[name] = value
-    for atom in disjunct:
+    for atom in general:
         term = atom.term
         value = term.constant
         for name, coeff in term.coefficients:
-            value += coeff * point[name]
+            index = nodes.get(name)
+            if index is not None:
+                value += coeff * values[index]
         if not atom.op.holds(value):
             return None
+    return True
+
+
+def entailment_certificate(
+    conjunction: Disjunct, atoms: Sequence[Atom]
+) -> bool | None:
+    """Does ``conjunction`` imply every atom of ``atoms``?  ``None`` when
+    undecided.
+
+    Decided when the conjunction and the atoms are all difference
+    atoms: an empty conjunction implies everything, and a consistent one
+    implies an edge ``u − v ≤ c`` iff its closure entry is at least as
+    tight.  That is the verdict of asking the LP whether
+    ``conjunction ∧ ¬atom`` is empty for every atom.
+    """
+    closure = difference_closure(conjunction, complete=True)
+    if closure is None:
+        return True
+    nodes, matrix, __, general = closure
+    if general:
+        return None
+    for atom in atoms:
+        edges = atom.difference_edges
+        if edges is None:
+            return None
+        for u, v, bound in edges:
+            i = nodes.get(u)
+            j = nodes.get(v)
+            entry = None if i is None or j is None else matrix[i][j]
+            if entry is None or entry > bound:
+                return False
     return True
 
 
@@ -216,6 +252,31 @@ def disjunct_feasible(disjunct: Disjunct) -> bool:
     variables = sorted({v for atom in live for v in atom.variables})
     system = [atom.to_linear_constraint(variables) for atom in live]
     return feasible(system, dimension=len(variables))
+
+
+def _implies(
+    conjunction: Disjunct,
+    atoms: Sequence[Atom],
+    feasibility: FeasibilityFn | None,
+) -> bool:
+    """Does ``conjunction`` imply every atom of ``atoms``?
+
+    With ``feasibility`` given, it decides each ``conjunction ∧ ¬atom``
+    (one call per negated atom).  Without, the difference closure
+    decides (:func:`entailment_certificate`) and
+    :func:`disjunct_feasible` decides what it leaves open.
+    """
+    if feasibility is None:
+        verdict = entailment_certificate(conjunction, atoms)
+        if verdict is not None:
+            _CERTIFIED.inc()
+            return verdict
+        feasibility = disjunct_feasible
+    return all(
+        not feasibility(conjunction + (negated,))
+        for atom in atoms
+        for negated in atom.negated_atoms()
+    )
 
 
 def _normalise(disjunct: Disjunct) -> Disjunct | None:
@@ -283,25 +344,21 @@ def dnf_product(
 def remove_redundant_atoms(
     disjunct: Disjunct,
     *,
-    feasibility: FeasibilityFn = disjunct_feasible,
+    feasibility: FeasibilityFn | None = None,
 ) -> Disjunct:
     """Drop atoms implied by the rest of their conjunction.
 
     Atom a is redundant in C iff (C ∖ {a}) ∧ ¬a is infeasible.  Greedy
     left-to-right removal; the result denotes the same set with a
-    minimal-ish representation.  Used by explicit simplification, not by
-    the hot evaluation paths.
+    minimal-ish representation.  ``feasibility``, when given, decides
+    each such conjunction; by default the difference closure does
+    (see :func:`_implies`).
     """
     kept = list(disjunct)
     index = 0
     while index < len(kept):
-        candidate = kept[index]
-        rest = kept[:index] + kept[index + 1:]
-        negated_feasible = any(
-            feasibility(tuple(rest) + (negated,))
-            for negated in candidate.negated_atoms()
-        )
-        if not negated_feasible:
+        rest = tuple(kept[:index] + kept[index + 1:])
+        if _implies(rest, (kept[index],), feasibility):
             kept.pop(index)
         else:
             index += 1
@@ -314,8 +371,6 @@ def merge_equality_pairs(disjunct: Disjunct) -> Disjunct:
     Sign-vector cells express equalities as two opposite non-strict
     bounds; merging them makes simplified output read naturally.
     """
-    from repro.constraints.atoms import Op
-
     atoms = list(disjunct)
     result: list = []
     consumed: set[int] = set()
@@ -337,8 +392,6 @@ def merge_equality_pairs(disjunct: Disjunct) -> Disjunct:
                     partner = j
                     break
         if partner is not None:
-            from repro.constraints.atoms import Atom
-
             consumed.add(partner)
             term = atom.term
             if term.coefficients and term.coefficients[0][1] < 0:
@@ -353,20 +406,16 @@ def _subsumed(
     smaller: Disjunct,
     larger: Disjunct,
     *,
-    feasibility: FeasibilityFn = disjunct_feasible,
+    feasibility: FeasibilityFn | None = None,
 ) -> bool:
     """Does ``larger`` contain ``smaller`` as a set (smaller ⟹ larger)?"""
-    return all(
-        not feasibility(smaller + (negated,))
-        for atom in larger
-        for negated in atom.negated_atoms()
-    )
+    return _implies(smaller, larger, feasibility)
 
 
 def minimise_dnf(
     disjuncts: Sequence[Disjunct],
     *,
-    feasibility: FeasibilityFn = disjunct_feasible,
+    feasibility: FeasibilityFn | None = None,
     reduce_disjunct=None,
     subsumes=None,
 ) -> list[Disjunct]:
@@ -377,7 +426,9 @@ def minimise_dnf(
     and the pairwise subsumption test with observationally identical
     implementations — the compiled executor passes memoised versions,
     since fixpoint accumulators re-minimise mostly unchanged disjunct
-    sets stage after stage.
+    sets stage after stage.  ``feasibility``, when given, decides every
+    verdict, implications included; by default the difference closure
+    decides implications and :func:`disjunct_feasible` the rest.
     """
     if reduce_disjunct is None:
         def reduce_disjunct(d: Disjunct) -> Disjunct:
@@ -387,11 +438,12 @@ def minimise_dnf(
     if subsumes is None:
         def subsumes(smaller: Disjunct, larger: Disjunct) -> bool:
             return _subsumed(smaller, larger, feasibility=feasibility)
+    pruning = feasibility or disjunct_feasible
     cleaned = [
         reduce_disjunct(d)
-        for d in prune_disjuncts(disjuncts, feasibility=feasibility)
+        for d in prune_disjuncts(disjuncts, feasibility=pruning)
     ]
-    cleaned = prune_disjuncts(cleaned, feasibility=feasibility)
+    cleaned = prune_disjuncts(cleaned, feasibility=pruning)
     survivors: list[Disjunct] = []
     for index, disjunct in enumerate(cleaned):
         absorbed = False

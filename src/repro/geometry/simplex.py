@@ -311,7 +311,8 @@ def interval_point(
     (each strict or not, ``None`` when absent) and, when ``pinned`` is
     given, equal to it.  The choice is the pinned value, else the
     midpoint, ``lower + 1``, ``upper - 1`` or 0; ``None`` means the
-    bounds leave no value.  :func:`repro.constraints.simplify.\
+    bounds leave no value.  Bounds may be ``int`` or ``Fraction``; the
+    value is exact either way.  :func:`repro.constraints.simplify.\
 feasibility_certificate` places variables by the same rules, so its
     one-variable verdicts are this solver's.
     """
@@ -335,7 +336,10 @@ feasibility_certificate` places variables by the same rules, so its
         if lower_strict or upper_strict:
             return None
         return lower
-    return (lower + upper) / 2
+    middle = lower + upper
+    # Two int bounds (as the difference closure keeps integral ones)
+    # would make ``/ 2`` a float.
+    return middle / 2 if isinstance(middle, Fraction) else Fraction(middle, 2)
 
 
 def _solve_component(

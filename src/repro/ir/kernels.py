@@ -16,12 +16,14 @@ interpreted engine by construction.  It comes from *not re-deciding*:
   a value key costs one cached hash per atom, pins nothing beyond the
   key, and hits on structurally equal atoms however they were built.
   A miss calls :func:`~repro.constraints.simplify.disjunct_feasible`,
-  whose feasibility certificate decides most conjunctions without an
-  LP — the same decision the interpreted engine takes.
+  whose difference closure decides every difference conjunction without
+  an LP — the same decision the interpreted engine takes.
 * **Reduction/subsumption memos** — ``remove_redundant_atoms`` +
   ``merge_equality_pairs`` is a pure function of a disjunct, and
   ``_subsumed`` of a disjunct pair; accumulators re-minimise mostly old
-  disjuncts every stage.
+  disjuncts every stage.  Both run with their default decision, the
+  difference closure, exactly as the interpreted engine's
+  ``simplify()`` does.
 * **Projection from pruned disjuncts** — a rule's join result is
   already a pruned DNF.  :meth:`KernelCache.project` prunes it once
   through the feasibility memo and Fourier–Motzkin projects each
@@ -249,9 +251,7 @@ class KernelCache:
         if cached is not None:
             self._c_reduce_hits.inc()
             return cached
-        reduced = merge_equality_pairs(
-            remove_redundant_atoms(disjunct, feasibility=self.feasibility)
-        )
+        reduced = merge_equality_pairs(remove_redundant_atoms(disjunct))
         self._reduced[disjunct] = reduced
         return reduced
 
@@ -261,7 +261,7 @@ class KernelCache:
         if cached is not None:
             self._c_subsume_hits.inc()
             return cached
-        verdict = _subsumed(smaller, larger, feasibility=self.feasibility)
+        verdict = _subsumed(smaller, larger)
         self._subsume[key] = verdict
         return verdict
 
