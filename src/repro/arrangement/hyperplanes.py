@@ -20,14 +20,22 @@ from repro.constraints.relation import ConstraintRelation
 
 
 def hyperplanes_of_relation(relation: ConstraintRelation) -> list[Hyperplane]:
-    """The paper's 𝕳(S) for a relation in DNF, canonically ordered."""
-    planes: set[Hyperplane] = set()
-    for disjunct in relation.disjuncts():
-        for atom in disjunct:
-            plane = atom.hyperplane(relation.variables)
-            if plane is not None:
-                planes.add(plane)
-    return sorted(planes, key=lambda h: (h.normal, h.offset))
+    """The paper's 𝕳(S) for a relation in DNF, canonically ordered.
+
+    Memoised on the relation, as its fingerprint is; each call returns
+    a fresh list, so no caller can change the memo.
+    """
+    cached = relation._cache.get("hyperplanes")
+    if cached is None:
+        planes: set[Hyperplane] = set()
+        for disjunct in relation.disjuncts():
+            for atom in disjunct:
+                plane = atom.hyperplane(relation.variables)
+                if plane is not None:
+                    planes.add(plane)
+        cached = tuple(sorted(planes, key=lambda h: (h.normal, h.offset)))
+        relation._cache["hyperplanes"] = cached
+    return list(cached)
 
 
 def membership_by_signs(

@@ -72,15 +72,16 @@ def to_dnf(formula: Formula) -> list[Disjunct]:
     (e.g. containing ``0 > 1``) are dropped; trivially-true atoms are
     removed from their disjuncts; duplicate atoms are collapsed.
     """
-    nnf = to_nnf(formula)
-    raw = _dnf(nnf)
+    return _cleaned(_dnf(to_nnf(formula)))
+
+
+def _cleaned(raw: Sequence[Disjunct]) -> list[Disjunct]:
+    """Clean every disjunct, dropping trivially-false ones and repeats."""
     cleaned: list[Disjunct] = []
     seen: set[Disjunct] = set()
     for disjunct in raw:
         reduced = _clean_disjunct(disjunct)
-        if reduced is None:
-            continue
-        if reduced not in seen:
+        if reduced is not None and reduced not in seen:
             seen.add(reduced)
             cleaned.append(reduced)
     return cleaned
@@ -134,3 +135,14 @@ def dnf_to_formula(disjuncts: Sequence[Disjunct]) -> Formula:
         conjunction(AtomFormula(a) for a in disjunct)
         for disjunct in disjuncts
     )
+
+
+def formula_dnf(disjuncts: Sequence[Disjunct]) -> list[Disjunct]:
+    """``to_dnf(dnf_to_formula(disjuncts))`` without building the formula.
+
+    ``dnf_to_formula`` folds a ``()`` disjunct (⊤) into ``TRUE``; past
+    that, ``to_dnf`` cleans each disjunct and drops repeats.
+    """
+    if () in disjuncts:
+        return [()]
+    return _cleaned(disjuncts)

@@ -9,6 +9,8 @@ Fourier–Motzkin elimination per disjunct; handle ∀ as ¬∃¬.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import FormulaError
 from repro.geometry.fourier_motzkin import (
     eliminate_variable,
@@ -27,9 +29,8 @@ from repro.constraints.formula import (
     TrueFormula,
     conjunction,
     disjunction,
-    TRUE,
 )
-from repro.constraints.normal_forms import Disjunct
+from repro.constraints.normal_forms import Disjunct, dnf_to_formula
 
 
 def eliminate_quantifiers(formula: Formula) -> Formula:
@@ -60,52 +61,62 @@ def _eliminate_exists(variable: str, body: Formula) -> Formula:
 
     The body is put into DNF with feasibility pruning (negations inside
     ∀-as-¬∃¬ rewritings would otherwise explode the distribution), then
-    Fourier–Motzkin projects each disjunct.
+    :func:`project_disjuncts` projects each disjunct.
     """
     from repro.constraints.simplify import to_dnf_pruned
+
+    return dnf_to_formula(project_disjuncts(to_dnf_pruned(body), variable))
+
+
+def project_disjuncts(
+    disjuncts: Sequence[Disjunct], variable: str
+) -> list[Disjunct]:
+    """Fourier–Motzkin ``∃ variable`` of each disjunct of a pruned DNF.
+
+    The one projection loop: quantifier elimination,
+    ``ConstraintRelation.project_out`` and the compiled executor's
+    ``KernelCache.project`` all run it.  The projection of a non-empty
+    set is non-empty, so when ``disjuncts`` are all satisfiable so is
+    every projected disjunct, and the result is empty iff the input is.
+    """
     from repro.obs.tracing import TRACER
 
     with TRACER.span("fm.eliminate", aggregate=True) as fm_span:
-        disjuncts = to_dnf_pruned(body)
         fm_span.add("disjuncts", len(disjuncts))
-        surviving: list[Formula] = []
+        projected: list[Disjunct] = []
         for disjunct in disjuncts:
-            projected = _project_disjunct(disjunct, variable)
-            if projected is not None:
-                surviving.append(projected)
-        return disjunction(surviving)
+            image = _project_disjunct(disjunct, variable)
+            if image is not None:
+                projected.append(image)
+        return projected
 
 
-def _project_disjunct(disjunct: Disjunct, variable: str) -> Formula | None:
+def _project_disjunct(
+    disjunct: Disjunct, variable: str
+) -> Disjunct | None:
     """FM-project one conjunction of atoms; ``None`` when it collapses to ⊥."""
-    if not disjunct:
-        return TRUE
-    variables = sorted(
-        {v for atom in disjunct for v in atom.variables} | {variable}
-    )
     if variable not in {v for atom in disjunct for v in atom.variables}:
         # The variable does not occur: ∃x just drops.
-        return conjunction(AtomFormula(a) for a in disjunct)
+        return disjunct
+    variables = sorted({v for atom in disjunct for v in atom.variables})
     index = variables.index(variable)
     system = [atom.to_linear_constraint(variables) for atom in disjunct]
     projected = eliminate_variable(system, index)
     cleaned = simplify_system(projected)
     if cleaned is None:
         return None
-    if not cleaned:
-        return TRUE
     remaining = [v for v in variables if v != variable]
-    atoms = []
-    for row in cleaned:
-        reduced_coeffs = tuple(
-            c for i, c in enumerate(row.coeffs) if i != index
+    return tuple(
+        atom_from_constraint(
+            type(row)(
+                tuple(c for i, c in enumerate(row.coeffs) if i != index),
+                row.rel,
+                row.rhs,
+            ),
+            remaining,
         )
-        atoms.append(
-            atom_from_constraint(
-                type(row)(reduced_coeffs, row.rel, row.rhs), remaining
-            )
-        )
-    return conjunction(AtomFormula(a) for a in atoms)
+        for row in cleaned
+    )
 
 
 def is_satisfiable_qf(formula: Formula) -> bool:

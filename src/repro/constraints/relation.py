@@ -20,19 +20,23 @@ from repro.errors import FormulaError
 from repro.geometry.polyhedron import Polyhedron
 from repro.constraints.atoms import Atom
 from repro.constraints.formula import (
-    Exists,
+    And,
+    AtomFormula,
     Formula,
+    Not,
+    Or,
     FALSE,
     TRUE,
 )
 from repro.constraints.normal_forms import (
     Disjunct,
     dnf_to_formula,
+    formula_dnf,
     to_dnf,
 )
 from repro.constraints.qelim import (
     eliminate_quantifiers,
-    is_satisfiable_qf,
+    project_disjuncts,
 )
 from repro.constraints.terms import LinearTerm
 
@@ -85,6 +89,28 @@ class ConstraintRelation:
             self._cache["disjuncts"] = to_dnf(self.formula)
         return self._cache["disjuncts"]
 
+    def feasible_disjuncts(self, feasibility=None) -> list[Disjunct]:
+        """The satisfiable disjuncts: ``to_dnf_pruned(formula)`` (cached).
+
+        Projection and emptiness both run from this list.  A relation
+        built by :func:`relation_from_disjuncts` carries it from birth,
+        so the algebra's pruned DNF is never decided twice.
+        ``feasibility`` decides the verdicts on a miss (the compiled
+        executor passes its memo); every decision procedure is exact,
+        so the list does not depend on which one ran.
+        """
+        cached = self._cache.get("feasible")
+        if cached is None:
+            from repro.constraints.simplify import (
+                disjunct_feasible,
+                to_dnf_pruned,
+            )
+
+            cached = self._cache["feasible"] = to_dnf_pruned(
+                self.formula, feasibility=feasibility or disjunct_feasible
+            )
+        return cached
+
     def polyhedra(self) -> list[Polyhedron]:
         """One polyhedron per DNF disjunct, over the schema order."""
         return [self._polyhedron(disjunct) for disjunct in self.disjuncts()]
@@ -134,10 +160,12 @@ class ConstraintRelation:
         return self.formula.evaluate(assignment)
 
     def is_empty(self) -> bool:
-        """True iff no point satisfies the formula (exact)."""
-        if "is_empty" not in self._cache:
-            self._cache["is_empty"] = not is_satisfiable_qf(self.formula)
-        return self._cache["is_empty"]
+        """True iff no point satisfies the formula (exact).
+
+        No disjunct survives pruning; free once the feasible disjuncts
+        are known (see :meth:`feasible_disjuncts`).
+        """
+        return not self.feasible_disjuncts()
 
     def is_universal(self) -> bool:
         """True iff every point satisfies the formula (exact)."""
@@ -222,31 +250,59 @@ class ConstraintRelation:
     def difference(self, other: "ConstraintRelation") -> "ConstraintRelation":
         return self.intersect(other.complement())
 
-    def project_out(self, variable: str) -> "ConstraintRelation":
+    def project_out(
+        self, variable: str, *, feasibility=None
+    ) -> "ConstraintRelation":
         """Existential projection: ``∃ variable . formula``.
 
-        The variable leaves the schema; the result is quantifier-free by
-        construction (Fourier–Motzkin).
+        The variable leaves the schema.  Each of the relation's feasible
+        disjuncts is Fourier–Motzkin projected
+        (:func:`~repro.constraints.qelim.project_disjuncts`); projections
+        of non-empty sets are non-empty, so the result carries its own
+        feasible disjuncts and its emptiness costs no further decision.
+        ``feasibility`` is passed to :meth:`feasible_disjuncts`.
         """
         if variable not in self.variables:
             raise FormulaError(f"{variable!r} is not in the schema")
-        eliminated = eliminate_quantifiers(Exists(variable, self.formula))
+        projected = project_disjuncts(
+            self.feasible_disjuncts(feasibility), variable
+        )
         remaining = tuple(v for v in self.variables if v != variable)
-        return ConstraintRelation.make(remaining, eliminated)
+        return relation_from_disjuncts(remaining, projected)
 
     def rename_to(self, new_variables: Sequence[str]) -> "ConstraintRelation":
-        """Positional schema rename."""
+        """Positional schema rename.
+
+        One pass of :meth:`Atom.rename`: the schema has no duplicates
+        and covers every free variable, so the mapping is a bijection
+        and overlapping old and new names cannot collide.  Cached DNFs
+        are carried over through the same renamed atoms; renaming
+        changes no verdict.
+        """
         schema = tuple(new_variables)
         if len(schema) != self.arity:
             raise FormulaError("renaming must preserve arity")
         if schema == self.variables:
             return self
-        # Two-step rename through fresh names avoids collisions when the
-        # old and new schemas overlap.
-        temp = tuple(f"__tmp_{i}" for i in range(self.arity))
-        step1 = self.formula.rename(dict(zip(self.variables, temp)))
-        step2 = step1.rename(dict(zip(temp, schema)))
-        return ConstraintRelation.make(schema, step2)
+        mapping = dict(zip(self.variables, schema))
+        renamed_atoms: dict[Atom, Atom] = {}
+
+        def rename(atom: Atom) -> Atom:
+            image = renamed_atoms.get(atom)
+            if image is None:
+                image = renamed_atoms[atom] = atom.rename(mapping)
+            return image
+
+        renamed = ConstraintRelation.make(
+            schema, _rename_atoms(self.formula, rename)
+        )
+        for key in ("disjuncts", "feasible"):
+            cached = self._cache.get(key)
+            if cached is not None:
+                renamed._cache[key] = [
+                    tuple(map(rename, disjunct)) for disjunct in cached
+                ]
+        return renamed
 
     def substitute(
         self, mapping: Mapping[str, LinearTerm]
@@ -276,8 +332,8 @@ class ConstraintRelation:
             return cached
         from repro.constraints.simplify import minimise_dnf
 
-        result = ConstraintRelation.make(
-            self.variables, dnf_to_formula(minimise_dnf(self.disjuncts()))
+        result = relation_from_disjuncts(
+            self.variables, minimise_dnf(self.disjuncts())
         )
         result._cache["simplified"] = result
         self._cache["simplified"] = result
@@ -306,13 +362,38 @@ class ConstraintRelation:
         return f"{{({schema}) : {self.formula}}}"
 
 
+def _rename_atoms(formula: Formula, rename) -> Formula:
+    """A quantifier-free formula with ``rename`` applied to every atom."""
+    if isinstance(formula, AtomFormula):
+        return AtomFormula(rename(formula.atom))
+    if isinstance(formula, And):
+        return And(tuple(_rename_atoms(f, rename) for f in formula.operands))
+    if isinstance(formula, Or):
+        return Or(tuple(_rename_atoms(f, rename) for f in formula.operands))
+    if isinstance(formula, Not):
+        return Not(_rename_atoms(formula.operand, rename))
+    return formula
+
+
 def relation_from_disjuncts(
     variables: Sequence[str], disjuncts: Iterable[Disjunct]
 ) -> ConstraintRelation:
-    """Build a relation directly from DNF disjuncts."""
-    return ConstraintRelation.make(
-        variables, dnf_to_formula(list(disjuncts))
+    """Build a relation directly from satisfiable DNF disjuncts.
+
+    Every disjunct must be satisfiable.  Every caller passes a pruned
+    list (``prune_disjuncts``, ``dnf_product``, ``minimise_dnf``,
+    projections of feasible disjuncts) or arrangement cells, which are
+    non-empty by construction.  The list, in the form ``to_dnf`` gives
+    the built formula (``formula_dnf``), then seeds both
+    :meth:`ConstraintRelation.disjuncts` and
+    :meth:`ConstraintRelation.feasible_disjuncts`.
+    """
+    disjuncts = list(disjuncts)
+    relation = ConstraintRelation.make(variables, dnf_to_formula(disjuncts))
+    relation._cache["disjuncts"] = relation._cache["feasible"] = (
+        formula_dnf(disjuncts)
     )
+    return relation
 
 
 def union_relations(

@@ -461,7 +461,11 @@ def minimise_dnf(
     return survivors
 
 
-def to_dnf_pruned(formula) -> list[Disjunct]:
+def to_dnf_pruned(
+    formula,
+    *,
+    feasibility: FeasibilityFn = disjunct_feasible,
+) -> list[Disjunct]:
     """DNF conversion with feasibility pruning at every distribution.
 
     The naive ``to_dnf`` distributes blindly and can explode on
@@ -470,7 +474,8 @@ def to_dnf_pruned(formula) -> list[Disjunct]:
     the DNF bottom-up, running every conjunction through
     :func:`dnf_product` so infeasible partial products die immediately.
     Output is semantically equal to ``to_dnf`` (trivially-false
-    disjuncts dropped either way).
+    disjuncts dropped either way).  ``feasibility`` decides every
+    verdict; the compiled executor passes its memo.
     """
     from repro.constraints.formula import (
         And,
@@ -488,14 +493,20 @@ def to_dnf_pruned(formula) -> list[Disjunct]:
         if isinstance(node, FalseFormula):
             return []
         if isinstance(node, AtomFormula):
-            return [(node.atom,)]
+            # A constant atom is decided by normalising it; any other
+            # single atom is satisfiable.
+            reduced = _normalise((node.atom,))
+            return [] if reduced is None else [reduced]
         if isinstance(node, Or):
             collected: list[Disjunct] = []
             for operand in node.operands:
                 collected.extend(convert(operand))
-            return prune_disjuncts(collected)
+            return prune_disjuncts(collected, feasibility=feasibility)
         if isinstance(node, And):
-            return dnf_product([convert(op) for op in node.operands])
+            return dnf_product(
+                [convert(op) for op in node.operands],
+                feasibility=feasibility,
+            )
         raise FormulaError(
             f"unexpected node in NNF: {type(node).__name__}"
         )

@@ -25,10 +25,11 @@ interpreted engine by construction.  It comes from *not re-deciding*:
   difference closure, exactly as the interpreted engine's
   ``simplify()`` does.
 * **Projection from pruned disjuncts** — a rule's join result is
-  already a pruned DNF.  :meth:`KernelCache.project` prunes it once
-  through the feasibility memo and Fourier–Motzkin projects each
-  disjunct, instead of rebuilding ``∃v. formula`` and re-deciding every
-  prefix of every disjunct as ``ConstraintRelation.project_out`` does.
+  already a pruned DNF, and ``relation_from_disjuncts`` keeps it as the
+  relation's feasible disjuncts.  :meth:`KernelCache.project` runs
+  ``ConstraintRelation.project_out``, which Fourier–Motzkin projects
+  those disjuncts; only a relation that does not carry them yet has
+  them pruned, through the feasibility memo.
 * **Complement memo + incremental cell index** — the complement of a
   relation is cached on the relation object, and large complements that
   enumerate arrangement cells reuse the DFS prefix shared with earlier
@@ -50,9 +51,7 @@ from typing import Sequence
 
 from repro.arrangement.faces import sign_vector_constraints
 from repro.constraints.atoms import atom_from_constraint
-from repro.constraints.formula import disjunction
-from repro.constraints.normal_forms import Disjunct, dnf_to_formula
-from repro.constraints.qelim import _project_disjunct
+from repro.constraints.normal_forms import Disjunct
 from repro.constraints.relation import (
     ConstraintRelation,
     relation_from_disjuncts,
@@ -69,7 +68,6 @@ from repro.constraints.simplify import (
     _subsumed,
 )
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import TRACER
 
 class _CellEntry:
     """One cached arrangement enumeration: planes, leaves, face atoms.
@@ -477,30 +475,17 @@ class KernelCache:
     ) -> ConstraintRelation:
         """``project_out`` of every schema variable not in ``keep``.
 
-        Drops the variables one at a time in schema order, as chained
-        ``project_out`` calls do, and yields the same formula text.
-        ``project_out`` rebuilds ``∃v. formula`` and re-derives its
-        pruned DNF, re-deciding every prefix of every disjunct; here the
-        relation's own disjuncts are pruned once through the memoised
-        feasibility, then each is Fourier–Motzkin projected.
+        Drops the variables one at a time in schema order through
+        ``project_out`` itself, passing the memoised feasibility for a
+        relation whose feasible disjuncts are not known yet.  A join
+        result carries them from birth, and every projection carries
+        its own, so a chain of projections decides nothing.
         """
         for variable in relation.variables:
-            if variable in keep:
-                continue
-            with TRACER.span("fm.eliminate", aggregate=True) as fm_span:
-                disjuncts = prune_disjuncts(
-                    relation.disjuncts(), feasibility=self.feasibility
+            if variable not in keep:
+                relation = relation.project_out(
+                    variable, feasibility=self.feasibility
                 )
-                fm_span.add("disjuncts", len(disjuncts))
-                surviving = []
-                for disjunct in disjuncts:
-                    projected = _project_disjunct(disjunct, variable)
-                    if projected is not None:
-                        surviving.append(projected)
-            relation = ConstraintRelation.make(
-                tuple(v for v in relation.variables if v != variable),
-                disjunction(surviving),
-            )
         return relation
 
     def minimise(self, relation: ConstraintRelation) -> ConstraintRelation:
@@ -513,15 +498,13 @@ class KernelCache:
         cached = relation._cache.get("simplified")
         if cached is not None:
             return cached
-        result = ConstraintRelation.make(
+        result = relation_from_disjuncts(
             relation.variables,
-            dnf_to_formula(
-                minimise_dnf(
-                    relation.disjuncts(),
-                    feasibility=self.feasibility,
-                    reduce_disjunct=self.reduce_disjunct,
-                    subsumes=self.subsumes,
-                )
+            minimise_dnf(
+                relation.disjuncts(),
+                feasibility=self.feasibility,
+                reduce_disjunct=self.reduce_disjunct,
+                subsumes=self.subsumes,
             ),
         )
         result._cache["simplified"] = result

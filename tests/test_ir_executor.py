@@ -500,17 +500,26 @@ class TestKernelProject:
         relation = rel("0 <= x & x <= y", schema=("x", "y"))
         assert KernelCache().project(relation, ("x", "y")) is relation
 
+    TEXT = "(0 <= x & x <= y & y <= 1) | (2 <= x & x <= 3 & y = x)"
+
     def test_project_uses_the_feasibility_memo(self):
+        # A fresh, structurally equal relation does not carry its
+        # feasible disjuncts yet, so it prunes them through the memo.
         registry = get_registry()
         kernels = KernelCache()
-        relation = rel(
-            "(0 <= x & x <= y & y <= 1) | (2 <= x & x <= 3 & y = x)",
-            schema=("x", "y"),
-        )
-        kernels.project(relation, ("x",))
+        kernels.project(rel(self.TEXT, schema=("x", "y")), ("x",))
         before = registry.get("ir.feasibility_memo_hits")
-        kernels.project(relation, ("y",))
+        kernels.project(rel(self.TEXT, schema=("x", "y")), ("y",))
         assert registry.get("ir.feasibility_memo_hits") > before
+
+    def test_repeat_projection_decides_nothing(self):
+        registry = get_registry()
+        kernels = KernelCache()
+        relation = rel(self.TEXT, schema=("x", "y"))
+        kernels.project(relation, ("x",))
+        before = registry.snapshot("ir.feasibility")
+        kernels.project(relation, ("y",))
+        assert registry.snapshot("ir.feasibility") == before
 
 
 class TestValueKeyedMemos:
