@@ -155,35 +155,3 @@ def test_e15_executors_agree_small_chains(report):
     assert not compiled.converged and not interpreted.converged
     assert str(compiled["P"].formula) == str(interpreted["P"].formula)
     report("E15: compiled ≡ interpreted executor", rows)
-
-
-def test_e15_before_after_executors(report):
-    """Before/after mode: interpreted vs compiled semi-naive executors.
-
-    The default run uses a small check-only ladder to guard byte-
-    identity without timing noise.  Set ``REPRO_BENCH_RECORD=1`` to
-    sweep the full k ∈ {16, 32, 64} ladder, assert the >= 5x compiled
-    speedup at k >= 32 and write ``BENCH_E15.json`` (this is how the
-    committed record is produced)."""
-    import os
-
-    from repro.bench import run_bench_e15, write_record
-
-    record_mode = bool(os.environ.get("REPRO_BENCH_RECORD"))
-    if record_mode:
-        record = run_bench_e15(sizes=(16, 32, 64))
-    else:
-        record = run_bench_e15(sizes=(2, 4), check_only=True)
-    assert record["all_match"], record
-    if record_mode:
-        for row in record["results"]:
-            if row["k"] >= 32:
-                assert row["meets_target"], row
-        write_record(record, "BENCH_E15.json")
-    report("E15: interpreted vs compiled executor", [
-        (f"k={row['k']}:",
-         f"interpreted {row['baseline_s'] * 1000:.0f} ms,",
-         f"compiled {row['fast_s'] * 1000:.0f} ms,",
-         f"{row['stages']} stages")
-        for row in record["results"]
-    ])

@@ -32,8 +32,8 @@ set, only who pays for the feasibility certificate):
   rows removed) and memoised per build, so repeated hyperplane multiples
   and recurring subsystems hit a dictionary instead of the solver.
 
-``witness_reuse=False`` / ``dedup=False`` select the naive baseline used
-by the E2 before/after benchmark (``repro bench e2``); ``parallel`` fans
+``witness_reuse=False`` / ``dedup=False`` select the naive baseline that
+the E2 equivalence run (``repro bench e2``) checks against; ``parallel`` fans
 top-level sign-vector subtrees out to worker processes (see
 :mod:`repro.arrangement.parallel`) while preserving the sequential face
 order exactly.
@@ -227,7 +227,7 @@ def enumerate_sign_vectors(
     ``witness_reuse`` the inherited witness and derived witnesses (see
     the module docstring) skip most LP solves; with ``dedup`` normalised
     candidate systems are memoised per enumeration.  Both flags exist so
-    the benchmarks can run the naive baseline; disabling them never
+    ``repro bench e2`` can run the naive baseline; disabling them never
     changes the yielded faces or their order.
 
     ``prefix`` / ``prefix_witness`` seed the DFS at a feasible partial

@@ -244,10 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a named before/after benchmark and emit its JSON record",
     )
     bench.add_argument(
-        "name", choices=("e2", "e3", "e14", "e15", "e16"),
+        "name", choices=("e2", "e3"),
         help="benchmark to run (E2 arrangement scaling, E3 LP filter "
-             "microbench, E14 cost-based optimizer, E15 spatial "
-             "datalog, E16 incremental view maintenance)",
+             "microbench)",
     )
     bench.add_argument(
         "--sizes",
@@ -266,47 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the JSON record to PATH (e.g. BENCH_E2.json)",
     )
-    bench.add_argument(
-        "--append-history",
-        default=None,
-        metavar="PATH",
-        dest="append_history",
-        help="append a one-line summary (git sha, UTC timestamp, python "
-             "version, speedup) to PATH as JSON Lines",
-    )
-    bench.add_argument(
-        "--check-regression",
-        action="store_true",
-        dest="check_regression",
-        help="compare this run's fast-path timing against the median of "
-             "recent matching history lines; exit 3 on a regression",
-    )
-    bench.add_argument(
-        "--history",
-        default="BENCH_HISTORY.jsonl",
-        metavar="PATH",
-        help="history JSONL file for --check-regression "
-             "(default: BENCH_HISTORY.jsonl)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="slowdown fraction tolerated before flagging a regression "
-             "(default: 0.25, i.e. 25%% over the historical median)",
-    )
-    bench.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="N",
-        help="number of recent matching history lines whose median is "
-             "the baseline (default: 5)",
-    )
     _add_jobs_flag(bench)
     _add_lp_mode_flag(bench)
-    _add_executor_flag(bench)
     _add_cache_dir_flag(bench)
     _add_journal_flag(bench)
 
@@ -651,12 +611,7 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
     """
     import json
 
-    from repro.bench import (
-        BENCHMARKS,
-        append_history,
-        check_regression,
-        write_record,
-    )
+    from repro.bench import BENCHMARKS, write_record
 
     runner, __ = BENCHMARKS[args.name]
     kwargs: dict = {"check_only": args.check_only}
@@ -672,43 +627,12 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         kwargs["sizes"] = sizes
     if args.name == "e2":
         kwargs["jobs"] = args.jobs
-    if args.name == "e15" and args.executor:
-        kwargs["executor"] = args.executor
     record = runner(**kwargs)
     print(json.dumps(record, indent=2), file=out)
     if args.output:
         write_record(record, args.output)
         print(f"wrote {args.output}", file=out)
-    exit_code = 0 if record["all_match"] else 1
-    if args.check_regression:
-        regression_kwargs: dict = {}
-        if args.window is not None:
-            regression_kwargs["window"] = args.window
-        if args.tolerance is not None:
-            regression_kwargs["tolerance"] = args.tolerance
-        verdict = check_regression(
-            record, args.history, **regression_kwargs
-        )
-        print(json.dumps({"regression_check": verdict}, indent=2),
-              file=out)
-        if verdict["status"] == "regression":
-            print(
-                f"error: performance regression — current "
-                f"{verdict['current_s']}s vs median "
-                f"{verdict['median_s']}s over the last "
-                f"{verdict['samples']} matching run(s) "
-                f"(ratio {verdict['ratio']}, tolerance "
-                f"{verdict['tolerance']})",
-                file=out,
-            )
-            exit_code = exit_code or 3
-    # History is appended AFTER the regression check: a run must not be
-    # compared against itself, and a regressing run still lands in the
-    # history so a deliberate slowdown re-baselines after `window` runs.
-    if args.append_history:
-        append_history(record, args.append_history)
-        print(f"appended history to {args.append_history}", file=out)
-    return exit_code
+    return 0 if record["all_match"] else 1
 
 
 def _cmd_metrics(args: argparse.Namespace, out) -> int:

@@ -235,7 +235,6 @@ def evaluate_program_compiled(
     database: ConstraintDatabase,
     max_stages: int = 25,
     profiler=None,
-    kernels: KernelCache | None = None,
     compiled_strata: "list[CompiledStratum] | None" = None,
 ) -> EvaluationOutcome:
     """Semi-naive evaluation through compiled IR plans.
@@ -259,8 +258,7 @@ def evaluate_program_compiled(
     _DATALOG_RUNS.inc()
     _SEMINAIVE_RUNS.inc()
     _COMPILED_RUNS.inc()
-    if kernels is None:
-        kernels = KernelCache()
+    kernels = KernelCache()
     idb: dict[str, ConstraintRelation] = {}
     for predicate in program.idb_predicates():
         arity = program.arity_of(predicate)

@@ -280,8 +280,8 @@ def evaluate_program(
     ``strategy`` selects the iteration scheme: ``"seminaive"`` (the
     default — delta-relation immediate consequence, see
     :mod:`repro.datalog.seminaive`) or ``"naive"`` (re-derive the whole
-    IDB every stage; kept as the reference implementation and the
-    baseline of the E15 benchmark).  Both compute the same relations.
+    IDB every stage; kept as the reference implementation).  Both
+    compute the same relations.
 
     ``executor`` picks how the semi-naive strategy is run: ``"compiled"``
     (rules compiled once to relational-algebra IR, evaluated through

@@ -11,10 +11,6 @@ maintained artifact is **byte-identical to a cold rebuild**:
   over :class:`~repro.arrangement.incremental.IncrementalArrangement`
   insertion *and* retraction) — combinatorially identical to a batch
   build;
-* materialised datalog answers re-run the compiled semi-naive delta
-  plans with persistent kernels
-  (:class:`~repro.incremental.fixpoint.MaintainedProgram`) — identical
-  control flow, memoised decisions, byte-identical answers;
 * ground fixpoints on the finite region sort use classical
   counting/DRed maintenance
   (:class:`~repro.incremental.ground.CountingFixpoint`);
@@ -23,8 +19,8 @@ maintained artifact is **byte-identical to a cold rebuild**:
   compaction).
 
 The interpreted full-rebuild path remains the honest oracle; the
-differential fuzz suite (`tests/test_ivm_differential.py`) and the E16
-benchmark hold maintenance to it byte-for-byte.
+differential fuzz suite (`tests/test_ivm_differential.py`) holds
+maintenance to it byte-for-byte.
 
 Entry points: :meth:`repro.engine.QueryEngine.apply_delta` for
 embedded use, ``POST /v1/update`` on the server.
@@ -41,7 +37,6 @@ from repro.incremental.delta import (
     invert,
     make_delta,
 )
-from repro.incremental.fixpoint import MaintainedProgram
 from repro.incremental.ground import CountingFixpoint, reachable_regions
 from repro.incremental.lineage import (
     DEFAULT_COMPACT_EVERY,
@@ -55,7 +50,6 @@ __all__ = [
     "DeltaOp",
     "LineageLog",
     "MaintainedArrangements",
-    "MaintainedProgram",
     "apply_delta",
     "delta_op",
     "disjunct_list",

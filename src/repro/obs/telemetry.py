@@ -23,7 +23,7 @@ layer on top of the same registry idiom:
 * :class:`SloTracker` — per-tenant rolling multi-window burn rates
   against a latency/error objective, surfaced in ``/v1/stats``;
 * :func:`quantile` — the one nearest-rank quantile implementation
-  shared by the load generator and the server benchmarks.
+  over raw samples (perfbench's tail latencies use it).
 
 Snapshot/merge mirrors the counter contract: workers ship
 :func:`telemetry_snapshot` states home and
@@ -82,12 +82,8 @@ def _escape_label(value: str) -> str:
 
 
 def quantile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile of raw samples (``q`` in ``[0, 1]``).
-
-    The single implementation shared by the load generator and the
-    server benchmark — replaces the private helper loadgen used to
-    carry, so client- and server-side quantiles agree on the rule.
-    """
+    """Nearest-rank quantile of raw samples (``q`` in ``[0, 1]``);
+    ``0.0`` for no samples."""
     ordered = sorted(values)
     if not ordered:
         return 0.0

@@ -12,7 +12,7 @@ A stdlib-only asyncio HTTP/JSON API over a pool of warm
 * :mod:`repro.server.service` — the routes, per-request journal
   scoping and single-flight cold builds;
 * :mod:`repro.server.loadgen` — a threaded HTTP client used by the
-  tests, the CI smoke job and ``benchmarks/bench_server.py``.
+  tests, the CI smoke jobs and ``perfbench/run.py``.
 
 Start one from the CLI with ``repro serve DB.json`` or in-process with
 :class:`ServerThread` (see docs/SERVER.md).
@@ -23,7 +23,6 @@ from repro.server.loadgen import (
     ServerThread,
     get_json,
     get_text,
-    percentile,
     post_json,
     run_load,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TokenBucket",
     "get_json",
     "get_text",
-    "percentile",
     "post_json",
     "run_load",
     "serve",

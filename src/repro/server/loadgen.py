@@ -1,11 +1,11 @@
 """Client-side helpers: run a service in-process and drive load at it.
 
 Everything downstream of the server — the concurrency tests, the CI
-smoke job and ``benchmarks/bench_server.py`` — needs the same two
-things: a way to run a :class:`ConstraintService` on a background
-event loop bound to an ephemeral port, and a plain blocking HTTP
-client to hit it from worker threads.  Both live here so the bench and
-the tests measure the identical code path.
+smoke jobs and ``perfbench/run.py`` — needs the same two things: a way
+to run a :class:`ConstraintService` on a background event loop bound
+to an ephemeral port, and a plain blocking HTTP client to hit it from
+worker threads.  Both live here so the benchmark and the tests drive
+the identical code path.
 
 Only the stdlib is used (:mod:`http.client`, :mod:`threading`).
 """
@@ -19,7 +19,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.obs.telemetry import quantile
 from repro.server.http import HttpServer
 from repro.server.service import ConstraintService, serve
 
@@ -183,20 +182,6 @@ def run_load(
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         return list(pool.map(one, requests))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of raw samples.
-
-    A thin shim over :func:`repro.obs.telemetry.quantile` — the one
-    nearest-rank implementation shared with the server's histograms —
-    kept under its historical name for existing callers.  Unlike the
-    shared helper it still rejects empty input (a load run that
-    produced no samples is a bug worth hearing about).
-    """
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    return quantile(values, q)
 
 
 Announce = Callable[[HttpServer], None]

@@ -35,6 +35,12 @@ from repro.geometry.simplex import (
     clear_feasibility_cache,
     strict_feasible_point,
 )
+from repro.incremental import (
+    MaintainedArrangements,
+    apply_delta,
+    invert,
+    make_delta,
+)
 from repro.obs.metrics import get_registry
 from repro.store.codec import canonical_json, encode
 from repro.workloads.generators import interval_chain
@@ -664,3 +670,30 @@ class TestMembershipBySigns:
                 _assert_bits_are_membership(
                     incremental.to_arrangement(relation), relation
                 )
+
+
+class TestMaintainedArrangementsMatchBatch:
+    """Plane-delta maintenance lands on the batch arrangement's
+    combinatorics at every version of a standing relation."""
+
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_append_then_retract_segments(self, segments):
+        base = interval_chain(12)
+        arrangements = MaintainedArrangements()
+        old = base.relation("S")
+        arrangements.adopt(old, build_arrangement(old))
+        delta = make_delta(*(
+            ("insert", "S", f"({12 + i} <= x0 & x0 <= {13 + i})")
+            for i in range(segments)
+        ))
+        for step_delta in (delta, invert(delta)):
+            new_db = apply_delta(base, step_delta)
+            new = new_db.relation("S")
+            maintained = arrangements.update(
+                old, new, build_old=lambda: build_arrangement(old)
+            )
+            batch = build_arrangement(new)
+            assert maintained.hyperplanes == batch.hyperplanes
+            assert combinatorial_signature(maintained) == \
+                combinatorial_signature(batch)
+            base, old = new_db, new

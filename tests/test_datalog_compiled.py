@@ -123,10 +123,20 @@ SUCCESSOR = parse_program(
 
 class TestSeededEquivalence:
     def test_reachability_chains(self):
-        for k in (1, 2, 4):
+        for k in (1, 2, 4, 8):
             assert_byte_identical(
                 REACH, interval_chain(k), max_stages=4 * k + 8
             )
+
+    def test_chain_stage_counts(self):
+        # Reachability over interval_chain(k) converges after exactly
+        # k + 1 stages, under both executors.
+        for k in (1, 2):
+            __, compiled = assert_byte_identical(
+                REACH, interval_chain(k), max_stages=4 * k + 8
+            )
+            assert compiled.converged
+            assert compiled.stages == k + 1
 
     def test_reach_with_gap(self):
         database = db("(0 <= x0 & x0 <= 1) | (3 <= x0 & x0 <= 4)")

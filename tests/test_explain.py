@@ -64,7 +64,11 @@ def self_counter_sums(plan: PlanNode) -> dict:
 
 class TestCompile:
     def test_plan_shape_and_labels(self, cache):
-        engine = QueryEngine(one_dim_database(), cache=cache)
+        engine = QueryEngine(
+            one_dim_database(),
+            cache=cache,
+            config=EngineConfig(optimizer="on"),
+        )
         result = engine.explain("exists x0. S(x0)")
         assert not result.analyzed
         assert result.language == "RegFO"
@@ -278,7 +282,8 @@ def one_dim_file(tmp_path):
 class TestExplainCli:
     def test_explain_plain(self, one_dim_file):
         code, output = run_cli(
-            "explain", one_dim_file, "exists x0. S(x0)"
+            "explain", one_dim_file, "exists x0. S(x0)",
+            "--optimizer", "on",
         )
         assert code == 0
         assert "EXPLAIN" in output and "ANALYZE" not in output

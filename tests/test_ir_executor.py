@@ -565,36 +565,3 @@ class TestValueKeyedMemos:
         assert kernels.disjunct_holds(first, order, (F(1, 2), F(0)))
         assert not kernels.disjunct_holds(second, order, (F(2), F(0)))
         assert len(kernels._holds_fns) == 1
-
-
-class TestMaintainedProgramMemos:
-    PROGRAM = (
-        "Reach(x) :- S(x), x = 0.\n"
-        "Reach(y) :- Reach(x), S(y), y - x <= 1, x - y <= 1.\n"
-    )
-
-    def test_reapply_hits_memos_across_versions(self):
-        from repro.datalog.compile import evaluate_program_compiled
-        from repro.datalog.parser import parse_program
-        from repro.incremental import MaintainedProgram
-        from repro.workloads.generators import interval_chain
-
-        registry = get_registry()
-        program = parse_program(self.PROGRAM)
-        maintained = MaintainedProgram(program, interval_chain(4))
-        second = interval_chain(5)
-
-        hits = registry.get("ir.feasibility_memo_hits")
-        calls = registry.get("ir.feasibility_calls")
-        outcome = maintained.apply(second)
-        warm_hits = registry.get("ir.feasibility_memo_hits") - hits
-        warm_calls = registry.get("ir.feasibility_calls") - calls
-        assert warm_hits > 0
-
-        calls = registry.get("ir.feasibility_calls")
-        cold = evaluate_program_compiled(program, second)
-        cold_calls = registry.get("ir.feasibility_calls") - calls
-        # Decisions taken for the first version are reused, not retaken.
-        assert warm_calls < cold_calls
-        assert str(outcome["Reach"].formula) == str(cold["Reach"].formula)
-        assert outcome.stages == cold.stages

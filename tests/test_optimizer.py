@@ -42,6 +42,9 @@ EQUIVALENCE_QUERIES = (
     "(forall R. forall Rp. (adj(R, Rp) -> "
     "(exists x. exists y. ((x) in R & (y) in Rp & x <= y)))) "
     "& (exists w. (S(w) & w + 2 < 0))",
+    "(forall R. forall Rp. (adj(R, Rp) -> "
+    "(exists x. exists y. ((x) in R & (y) in Rp & x <= y)))) "
+    "| (exists w. (S(w) & w >= 0))",
     "(exists w. (S(w) & w >= 0)) | (exists w. (S(w) & w + 9 < 0))",
     "!(exists x. (S(x) & x + 5 < 0))",
     "forall X. forall Y. ((sub(X, S) & sub(Y, S)) -> "
@@ -52,9 +55,10 @@ EQUIVALENCE_QUERIES = (
 
 
 class TestRewriteEquivalence:
+    @pytest.mark.parametrize("k", (4, 6))
     @pytest.mark.parametrize("text", EQUIVALENCE_QUERIES)
-    def test_optimized_and_ablated_agree(self, text):
-        database = interval_chain(4)
+    def test_optimized_and_ablated_agree(self, text, k):
+        database = interval_chain(k)
         formula = parse_query(text)
         ablated = QueryEngine(
             database, config=EngineConfig(optimizer="off")

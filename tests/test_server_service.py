@@ -200,3 +200,37 @@ def test_max_requests_sets_shutdown(service):
         return service.shutdown.is_set()
 
     assert asyncio.run(drive()) is True
+
+
+def test_new_service_over_a_store_warm_starts_from_disk(tmp_path):
+    """A second service over the first one's store directory answers
+    identically, and its answers come from disk (store hits)."""
+    from repro.config import EngineConfig
+    from repro.workloads.generators import interval_chain
+
+    config = EngineConfig(cache_dir=str(tmp_path / "store"))
+    queries = (
+        b'{"query": "S(x0)"}',
+        b'{"query": "exists y. S(y) & x0 - y <= 1 & y - x0 <= 1"}',
+        b'{"query": "exists x0. S(x0) & x0 > 2"}',
+    )
+
+    def drive(service):
+        answers = []
+        for body in queries:
+            response = _call(service, _request("POST", "/v1/query", body))
+            assert response.status == 200, response.payload
+            answers.append(response.payload["answer"])
+        stats = _call(service, _request("GET", "/v1/stats")).payload
+        return answers, stats["store"]
+
+    def fresh_service():
+        return ConstraintService(
+            {"chain": interval_chain(3)}, config, metrics=MetricsRegistry()
+        )
+
+    cold_answers, cold_store = drive(fresh_service())
+    assert cold_store["writes"] > 0
+    warm_answers, warm_store = drive(fresh_service())
+    assert warm_answers == cold_answers
+    assert warm_store["hits"] > cold_store["hits"]

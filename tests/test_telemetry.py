@@ -4,18 +4,15 @@ Covers the thread-safety contract (exact count/sum conservation under
 a 16-thread hammer), the label-cardinality guards, snapshot/merge
 without double-counting, the Prometheus text exposition invariants
 (bucket monotonicity, ``+Inf`` equals ``_count``), the SLO burn-rate
-tracker, the slow-query log's bounded rotation, and the benchmark
-regression sentry.
+tracker and the slow-query log's bounded rotation.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
-from repro.bench import check_regression, load_history
 from repro.obs import reset_all
 from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshot
 from repro.obs.slowlog import SlowQueryLog, load_slow_log
@@ -51,15 +48,6 @@ class TestQuantile:
         assert quantile(values, 0.0) == 1.0
         assert quantile(values, 0.5) == 3.0
         assert quantile(values, 1.0) == 5.0
-
-    def test_loadgen_percentile_delegates(self):
-        from repro.server.loadgen import percentile
-
-        assert percentile([1.0, 2.0, 3.0], 0.5) == quantile(
-            [1.0, 2.0, 3.0], 0.5
-        )
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
 
 
 class TestBucketQuantile:
@@ -455,97 +443,6 @@ class TestSlowQueryLog:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_slow_log(tmp_path / "absent.jsonl") == []
-
-
-class TestRegressionSentry:
-    def _history_line(self, fast_total_s: float) -> dict:
-        return {
-            "benchmark": "E2",
-            "lp_mode": "filtered",
-            "jobs": 1,
-            "executor": "compiled",
-            "sizes": [4, 5],
-            "fast_total_s": fast_total_s,
-        }
-
-    def _record(self, fast_s: float) -> dict:
-        return {
-            "benchmark": "E2",
-            "sizes": [4, 5],
-            "results": [{"n": 4, "fast_s": fast_s},
-                        {"n": 5, "fast_s": fast_s}],
-            "metadata": {
-                "lp_mode": "filtered", "jobs": 1, "executor": "compiled",
-            },
-        }
-
-    def _write_history(self, path, timings) -> None:
-        with open(path, "w") as handle:
-            for timing in timings:
-                handle.write(json.dumps(self._history_line(timing)) + "\n")
-
-    def test_unchanged_run_is_ok(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        self._write_history(history, [0.02, 0.021, 0.019])
-        verdict = check_regression(self._record(0.010), str(history))
-        assert verdict["status"] == "ok"
-        assert verdict["samples"] == 3
-
-    def test_synthetic_slowdown_is_flagged(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        self._write_history(history, [0.02, 0.021, 0.019])
-        verdict = check_regression(self._record(0.5), str(history))
-        assert verdict["status"] == "regression"
-        assert verdict["ratio"] > 1.25
-
-    def test_median_shrugs_off_one_noisy_baseline(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        # One wild outlier in the history must not mask a regression.
-        self._write_history(history, [0.02, 5.0, 0.021, 0.019, 0.02])
-        verdict = check_regression(self._record(0.5), str(history))
-        assert verdict["status"] == "regression"
-
-    def test_no_history_passes(self, tmp_path):
-        verdict = check_regression(
-            self._record(0.5), str(tmp_path / "absent.jsonl")
-        )
-        assert verdict["status"] == "no-history"
-        assert verdict["samples"] == 0
-
-    def test_mismatched_experiment_lines_ignored(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        lines = [self._history_line(0.02) for __ in range(3)]
-        for line in lines:
-            line["lp_mode"] = "exact"  # different knob: not comparable
-        with open(history, "w") as handle:
-            for line in lines:
-                handle.write(json.dumps(line) + "\n")
-        verdict = check_regression(self._record(0.5), str(history))
-        assert verdict["status"] == "no-history"
-
-    def test_window_limits_the_baseline(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        # Old slow era followed by a fast era: window=2 must compare
-        # against the recent fast runs only.
-        self._write_history(history, [1.0, 1.0, 1.0, 0.02, 0.021])
-        verdict = check_regression(
-            self._record(0.5), str(history), window=2
-        )
-        assert verdict["status"] == "regression"
-
-    def test_invalid_knobs_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            check_regression(self._record(0.1), "x", window=0)
-        with pytest.raises(ValueError):
-            check_regression(self._record(0.1), "x", tolerance=0.0)
-
-    def test_load_history_skips_garbage(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        with open(path, "w") as handle:
-            handle.write(json.dumps(self._history_line(0.02)) + "\n")
-            handle.write("not json\n\n")
-            handle.write(json.dumps(self._history_line(0.03)) + "\n")
-        assert len(load_history(str(path))) == 2
 
 
 class TestPlanCostTotals:
