@@ -163,21 +163,3 @@ def test_e2_before_after_fast_path(report):
          f"{row['lp_skipped']} LP solves skipped")
         for row in record["results"]
     ])
-
-
-def test_e2_parallel_matches_sequential(report):
-    """Process-parallel construction yields the exact same face list."""
-    from repro.arrangement.parallel import resolve_jobs
-
-    planes = generic_lines(5)
-    sequential = build_arrangement(hyperplanes=planes, dimension=2)
-    parallel = build_arrangement(
-        hyperplanes=planes, dimension=2, parallel=2
-    )
-    assert [f.signs for f in parallel.faces] == [
-        f.signs for f in sequential.faces
-    ]
-    assert resolve_jobs(None) >= 1
-    report("E2: parallel construction is deterministic", [
-        ("faces (sequential == 2 workers):", len(parallel)),
-    ])

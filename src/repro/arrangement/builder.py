@@ -33,10 +33,7 @@ set, only who pays for the feasibility certificate):
   and recurring subsystems hit a dictionary instead of the solver.
 
 ``witness_reuse=False`` / ``dedup=False`` select the naive baseline that
-the E2 equivalence run (``repro bench e2``) checks against; ``parallel`` fans
-top-level sign-vector subtrees out to worker processes (see
-:mod:`repro.arrangement.parallel`) while preserving the sequential face
-order exactly.
+the E2 equivalence run (``repro bench e2``) checks against.
 """
 
 from __future__ import annotations
@@ -231,12 +228,9 @@ def enumerate_sign_vectors(
     changes the yielded faces or their order.
 
     ``prefix`` / ``prefix_witness`` seed the DFS at a feasible partial
-    sign vector — the parallel builder uses this to enumerate one
-    subtree per worker (the seeded enumeration equals the contiguous
-    slice of the full enumeration below that prefix).  A seeded run does
-    not count the seed node itself in ``arrangement.dfs_nodes``: the
-    caller already counted it while enumerating prefixes, so sequential
-    and parallel builds report identical node totals.
+    sign vector (the seeded enumeration equals the contiguous slice of
+    the full enumeration below that prefix).  A seeded run does not
+    count the seed node itself in ``arrangement.dfs_nodes``.
     """
     n = len(hyperplanes)
     rows = [_plane_rows(plane) for plane in hyperplanes]
@@ -376,7 +370,6 @@ def build_arrangement(
     relation: ConstraintRelation | None = None,
     hyperplanes: Sequence[Hyperplane] | None = None,
     dimension: int | None = None,
-    parallel: int | None = None,
     witness_reuse: bool = True,
     dedup: bool = True,
     store: "DiskStore | None" = None,
@@ -394,12 +387,8 @@ def build_arrangement(
     (the paper notes the languages do not depend on the particular
     decomposition).
 
-    ``parallel`` requests process-parallel construction with that many
-    workers (``None`` consults the ``REPRO_JOBS`` environment variable,
-    default sequential); the face set and its order are identical to the
-    sequential build, and construction falls back to sequential when
-    worker processes are unavailable.  ``witness_reuse`` / ``dedup``
-    toggle the fast-path prunings (see :func:`enumerate_sign_vectors`).
+    ``witness_reuse`` / ``dedup`` toggle the fast-path prunings (see
+    :func:`enumerate_sign_vectors`).
 
     ``store`` (default: :func:`repro.store.active_store`, i.e. the
     ``--cache-dir`` / ``REPRO_CACHE_DIR`` setting) persists the finished
@@ -408,9 +397,9 @@ def build_arrangement(
     goes through the store: the naive baseline (``witness_reuse=False``
     or ``dedup=False``) exists to *measure* construction, so it always
     rebuilds, and its witness points may legitimately differ from the
-    fast path's.  A disk hit skips sign-vector enumeration (and worker
-    pools) entirely; corrupted or mismatched entries are ignored and
-    the arrangement is rebuilt.
+    fast path's.  A disk hit skips sign-vector enumeration entirely;
+    corrupted or mismatched entries are ignored and the arrangement is
+    rebuilt.
     """
     planes, ambient = _resolve_planes(relation, hyperplanes, dimension)
 
@@ -440,26 +429,14 @@ def build_arrangement(
                     )
                 return cached
 
-    from repro.arrangement.parallel import enumerate_parallel, resolve_jobs
-
-    jobs = resolve_jobs(parallel)
     _BUILDS.inc()
     with TRACER.span("arrangement.build") as build_span:
-        if jobs > 1 and len(planes) > 1:
-            pairs = enumerate_parallel(
-                planes,
-                ambient,
-                jobs,
-                witness_reuse=witness_reuse,
-                dedup=dedup,
-            )
-        else:
-            pairs = enumerate_sign_vectors(
-                planes,
-                ambient,
-                witness_reuse=witness_reuse,
-                dedup=dedup,
-            )
+        pairs = enumerate_sign_vectors(
+            planes,
+            ambient,
+            witness_reuse=witness_reuse,
+            dedup=dedup,
+        )
         inside = membership_by_signs(relation, planes)
         faces: list[Face] = []
         for index, (signs, witness) in enumerate(pairs):
@@ -470,7 +447,6 @@ def build_arrangement(
         _FACES.inc(len(faces))
         build_span.set("hyperplanes", len(planes))
         build_span.set("faces", len(faces))
-        build_span.set("jobs", jobs)
         arrangement = Arrangement(
             ambient, tuple(planes), tuple(faces), relation
         )

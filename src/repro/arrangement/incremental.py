@@ -66,8 +66,8 @@ from repro.arrangement.builder import Arrangement
 #: Incremental-mutation telemetry.  The *shared* family
 #: (``arrangement.builds`` / ``arrangement.faces``) moves in
 #: :meth:`IncrementalArrangement.to_arrangement` exactly as the batch
-#: builder moves it per build, so downstream consumers (the optimizer's
-#: ``jobs`` knob, dashboards) see one coherent signal regardless of
+#: builder moves it per build, so downstream consumers (dashboards,
+#: perfbench's per-layer counters) see one coherent signal regardless of
 #: which construction path produced an arrangement; the counters below
 #: are incremental-only extras (see docs/OBSERVABILITY.md).
 _INSERTIONS = get_registry().counter("arrangement.insertions")

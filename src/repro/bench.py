@@ -11,8 +11,7 @@ requests and checks every answer against an oracle, is
 
 * **E2 (arrangement scaling)** — the naive sign-vector DFS (no witness
   reuse, no system dedup) against the fast path of
-  :func:`repro.arrangement.builder.build_arrangement`; with ``jobs > 1``
-  the fast path also fans subtrees out to worker processes.
+  :func:`repro.arrangement.builder.build_arrangement`.
 * **E3 (LP filter microbench)** — exact rational feasibility against the
   certified float filter of :mod:`repro.geometry.fastlp` on batches of
   seeded random strict/non-strict systems; both tiers must agree on
@@ -20,7 +19,7 @@ requests and checks every answer against an oracle, is
   exactly.
 
 Every record carries a ``metadata`` block with the active LP mode, the
-resolved worker count, the disk store in effect (directory plus
+disk store in effect (directory plus
 ``store.*`` counter values) and the run's provenance — the repository's
 ``git_sha`` (``None`` outside a git checkout), the UTC timestamp and
 the Python version — so records are self-describing: a warm-start E2
@@ -77,7 +76,6 @@ def _git_sha() -> str | None:
 #: executor provenance can never be committed silently.
 REQUIRED_METADATA = (
     "lp_mode",
-    "jobs",
     "executor",
     "git_sha",
     "timestamp_utc",
@@ -85,7 +83,7 @@ REQUIRED_METADATA = (
 )
 
 
-def _metadata(jobs: int) -> dict:
+def _metadata() -> dict:
     """The self-description block shared by every BENCH_*.json record.
 
     Computed after the measurements, so the ``store`` block reflects the
@@ -98,10 +96,9 @@ def _metadata(jobs: int) -> dict:
     from repro.store import active_store
 
     store = active_store()
-    config = EngineConfig.resolve(jobs=jobs)
+    config = EngineConfig.resolve()
     return {
         "lp_mode": fastlp.get_lp_mode(),
-        "jobs": jobs,
         "executor": config.executor,
         "optimizer": config.optimizer,
         "config": config.describe(),
@@ -117,7 +114,6 @@ def _metadata(jobs: int) -> dict:
 
 def run_bench_e2(
     sizes: Sequence[int] = (4, 6, 8, 10),
-    jobs: int | None = None,
     check_only: bool = False,
 ) -> dict:
     """Arrangement construction: naive DFS vs witness-reuse fast path.
@@ -128,12 +124,10 @@ def run_bench_e2(
     measurement so timings are hermetic.
     """
     from repro.arrangement.builder import build_arrangement
-    from repro.arrangement.parallel import resolve_jobs
     from repro.geometry.hyperplane import Hyperplane
     from repro.geometry.simplex import clear_feasibility_cache
 
     registry = get_registry()
-    effective_jobs = resolve_jobs(jobs)
     results = []
     for n in sizes:
         planes = [
@@ -146,15 +140,11 @@ def run_bench_e2(
             dimension=2,
             witness_reuse=False,
             dedup=False,
-            parallel=1,
         )
         clear_feasibility_cache()
         skipped_before = registry.get("arrangement.lp_skipped")
         fast, fast_s = _timed(
-            build_arrangement,
-            hyperplanes=planes,
-            dimension=2,
-            parallel=effective_jobs,
+            build_arrangement, hyperplanes=planes, dimension=2
         )
         lp_skipped = registry.get("arrangement.lp_skipped") - skipped_before
         match = [f.signs for f in baseline.faces] == [
@@ -178,11 +168,8 @@ def run_bench_e2(
         "benchmark": "E2",
         "subject": "arrangement construction (Theorem 3.1 DFS)",
         "baseline": "sign-vector DFS, LP solve per child branch",
-        "fast": "witness-reuse pruning + derived witnesses + system dedup"
-        + (f" + {effective_jobs} worker processes"
-           if effective_jobs > 1 else ""),
-        "jobs": effective_jobs,
-        "metadata": _metadata(effective_jobs),
+        "fast": "witness-reuse pruning + derived witnesses + system dedup",
+        "metadata": _metadata(),
         "check_only": check_only,
         "sizes": list(sizes),
         "results": results,
@@ -274,7 +261,7 @@ def run_bench_e3(
         "fast": "certified float filter with exact fallback "
         "(lp_mode=filtered)",
         "seed": seed,
-        "metadata": _metadata(1),
+        "metadata": _metadata(),
         "check_only": check_only,
         "sizes": list(sizes),
         "results": results,
@@ -335,7 +322,7 @@ def write_record(record: dict, path: str) -> None:
     Every record must carry the :data:`REQUIRED_METADATA` keys (with a
     value, except ``git_sha`` which is legitimately ``None`` outside a
     git checkout) so committed BENCH_*.json files always state the
-    lp_mode/jobs/executor provenance of their numbers.
+    lp_mode/executor provenance of their numbers.
     """
     metadata = record.get("metadata")
     if not isinstance(metadata, dict):

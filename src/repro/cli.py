@@ -19,7 +19,7 @@ Databases are text files in the format of :mod:`repro.constraints.io`.
 
 ``--journal PATH`` (or ``REPRO_JOURNAL``) streams the structured event
 journal of the command — spans, cache and store decisions, fixpoint
-stages, worker lifecycle — to PATH as JSON Lines; see
+stages — to PATH as JSON Lines; see
 :mod:`repro.obs.journal` and ``repro.obs.replay``.
 
 Every **one-shot** invocation of :func:`main` starts from pristine
@@ -79,17 +79,6 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
         "--trace",
         action="store_true",
         help="print a span tree of where the command's time went",
-    )
-
-
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for arrangement construction "
-        "(default: $REPRO_JOBS, else sequential)",
     )
 
 
@@ -173,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decomposition_flag(query)
     _add_spatial_flag(query)
     _add_trace_flag(query)
-    _add_jobs_flag(query)
     _add_lp_mode_flag(query)
     _add_optimizer_flag(query)
     _add_cache_dir_flag(query)
@@ -209,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_decomposition_flag(explain)
     _add_spatial_flag(explain)
-    _add_jobs_flag(explain)
     _add_lp_mode_flag(explain)
     _add_executor_flag(explain)
     _add_optimizer_flag(explain)
@@ -224,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("text", help="query in the region-logic syntax")
     _add_decomposition_flag(profile)
     _add_spatial_flag(profile)
-    _add_jobs_flag(profile)
     _add_lp_mode_flag(profile)
     _add_cache_dir_flag(profile)
     _add_journal_flag(profile)
@@ -235,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     arrangement.add_argument("database")
     _add_spatial_flag(arrangement)
     _add_trace_flag(arrangement)
-    _add_jobs_flag(arrangement)
     _add_lp_mode_flag(arrangement)
     _add_cache_dir_flag(arrangement)
 
@@ -265,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the JSON record to PATH (e.g. BENCH_E2.json)",
     )
-    _add_jobs_flag(bench)
     _add_lp_mode_flag(bench)
     _add_cache_dir_flag(bench)
     _add_journal_flag(bench)
@@ -340,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_decomposition_flag(serve)
     _add_spatial_flag(serve)
-    _add_jobs_flag(serve)
     _add_lp_mode_flag(serve)
     _add_executor_flag(serve)
     _add_optimizer_flag(serve)
@@ -363,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_decomposition_flag(metrics)
     _add_spatial_flag(metrics)
-    _add_jobs_flag(metrics)
     _add_lp_mode_flag(metrics)
     _add_executor_flag(metrics)
     _add_optimizer_flag(metrics)
@@ -438,7 +420,7 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
     formula = parse_query(args.text)
     engine = QueryEngine(
         database, args.decomposition, args.spatial,
-        config=EngineConfig(jobs=args.jobs, optimizer=args.optimizer),
+        config=EngineConfig(optimizer=args.optimizer),
     )
     if formula.free_region_vars() or formula.free_set_vars():
         print(
@@ -490,7 +472,7 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
             return 2
         engine = QueryEngine(
             database, args.decomposition, args.spatial,
-            config=EngineConfig(jobs=args.jobs, optimizer=args.optimizer),
+            config=EngineConfig(optimizer=args.optimizer),
         )
         result = engine.explain(formula, analyze=args.analyze)
     if args.as_json:
@@ -523,8 +505,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
             )
             return 2
         engine = QueryEngine(
-            database, args.decomposition, args.spatial,
-            config=EngineConfig(jobs=args.jobs),
+            database, args.decomposition, args.spatial
         )
         answer = engine.evaluate(formula)
         empty = answer.is_empty()
@@ -556,7 +537,7 @@ def _cmd_arrangement(args: argparse.Namespace, out) -> int:
 
     database = load_database(args.database)
     relation = database.relation(args.spatial)
-    arrangement = build_arrangement(relation, parallel=args.jobs)
+    arrangement = build_arrangement(relation)
     census = arrangement.face_count_by_dimension()
     print(f"hyperplanes: {len(arrangement.hyperplanes)}", file=out)
     for dim in sorted(census, reverse=True):
@@ -625,8 +606,6 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
                   file=out)
             return 2
         kwargs["sizes"] = sizes
-    if args.name == "e2":
-        kwargs["jobs"] = args.jobs
     record = runner(**kwargs)
     print(json.dumps(record, indent=2), file=out)
     if args.output:
@@ -652,8 +631,7 @@ def _cmd_metrics(args: argparse.Namespace, out) -> int:
     if args.database is not None:
         database = load_database(args.database)
         engine = QueryEngine(
-            database, args.decomposition, args.spatial,
-            config=EngineConfig(jobs=args.jobs),
+            database, args.decomposition, args.spatial
         )
         if args.text is not None:
             formula = parse_query(args.text)
@@ -741,7 +719,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             return 2
         databases[name] = load_database(path)
     config = EngineConfig.resolve(
-        lp_mode=args.lp_mode, jobs=args.jobs, cache_dir=args.cache_dir,
+        lp_mode=args.lp_mode, cache_dir=args.cache_dir,
         executor=args.executor, optimizer=args.optimizer,
         slow_log=args.slow_log, slo_latency_ms=args.slo_latency_ms,
     )

@@ -9,7 +9,6 @@ frozen dataclass with one documented resolution order:
 field              environment variable       default
 =================  =========================  ===========================
 ``lp_mode``        ``REPRO_LP_MODE``          ``"filtered"``
-``jobs``           ``REPRO_JOBS``             ``1`` (sequential)
 ``executor``       ``REPRO_EXECUTOR``         ``"compiled"``
 ``cache_dir``      ``REPRO_CACHE_DIR``        ``None`` (no persistence)
 ``cache_budget``   ``REPRO_CACHE_BUDGET``     ``None`` (unbounded)
@@ -18,6 +17,9 @@ field              environment variable       default
 ``slow_log``       ``REPRO_SLOW_LOG``         ``None`` (no slow-query log)
 ``slo_latency_ms`` ``REPRO_SLO_LATENCY_MS``   ``250.0`` ms objective
 =================  =========================  ===========================
+
+``jobs`` is a ninth field with no environment variable: it accepts only
+``1``, because arrangements are built by one sequential DFS.
 
 Two construction styles, for two lifetimes:
 
@@ -37,7 +39,7 @@ Consumers::
 
     from repro.config import EngineConfig
 
-    config = EngineConfig.resolve(jobs=4)        # env fills the rest
+    config = EngineConfig.resolve(lp_mode="exact")  # env fills the rest
     engine = QueryEngine(db, config=config)
     store = config.store()                        # the pinned DiskStore
 """
@@ -57,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Environment variable names, in one place (the store/journal modules
 #: remain the authoritative readers for their own deferred paths).
 ENV_LP_MODE = "REPRO_LP_MODE"
-ENV_JOBS = "REPRO_JOBS"
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_BUDGET = "REPRO_CACHE_BUDGET"
@@ -150,8 +151,9 @@ class EngineConfig:
 
     #: LP tier: ``"filtered"`` or ``"exact"`` (``None`` = env at use).
     lp_mode: str | None = None
-    #: Worker processes for arrangement construction (``None`` = env at
-    #: use time; ``1`` = sequential).
+    #: Always ``1`` (``None`` resolves to it): arrangement construction
+    #: is sequential and nothing reads this field.  It stays so existing
+    #: ``EngineConfig(jobs=1)`` call sites keep constructing.
     jobs: int | None = None
     #: Fixpoint executor: ``"compiled"`` (relational-algebra IR,
     #: set-at-a-time) or ``"interpreted"`` (per-stage AST walk, the
@@ -182,8 +184,11 @@ class EngineConfig:
                 f"lp_mode must be one of {fastlp.LP_MODES}, "
                 f"got {self.lp_mode!r}"
             )
-        if self.jobs is not None and int(self.jobs) < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
+        if self.jobs is not None and self.jobs != 1:
+            raise ValueError(
+                f"jobs must be 1, got {self.jobs!r}: process-parallel "
+                f"arrangement construction was removed"
+            )
         if self.executor is not None and self.executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, "
@@ -230,15 +235,13 @@ class EngineConfig:
             env_value = from_env()
             return env_value if env_value is not None else default
 
-        from repro.arrangement.parallel import resolve_jobs
-
         lp_mode = pick(
             "lp_mode",
             lambda: os.environ.get(ENV_LP_MODE, "").strip().lower() or None,
             "filtered",
         )
         jobs = overrides.get("jobs")
-        jobs = resolve_jobs(jobs if jobs is not None else None)
+        jobs = 1 if jobs is None else jobs
         executor = resolve_executor(overrides.get("executor"))
         cache_dir = pick(
             "cache_dir",
@@ -308,7 +311,6 @@ class EngineConfig:
             cache_dir = str(root if root is not None else cache_dir)
         return {
             "lp_mode": self.lp_mode,
-            "jobs": self.jobs,
             "executor": self.executor,
             "cache_dir": cache_dir,
             "cache_budget": self.cache_budget,

@@ -189,15 +189,12 @@ class EngineCache:
         self,
         relation: ConstraintRelation,
         extra_hyperplanes: tuple[Hyperplane, ...] | None = None,
-        jobs: int | None = None,
     ) -> Arrangement:
         """A(S) for a relation, built once per structural fingerprint.
 
-        ``jobs`` requests process-parallel construction on a miss; the
-        cache key ignores it because the resulting arrangement is
-        identical for every worker count.  Misses consult the disk
-        store (when one is pinned or active) before enumerating, and
-        persist freshly built arrangements for later processes.
+        Misses consult the disk store (when one is pinned or active)
+        before enumerating, and persist freshly built arrangements for
+        later processes.
         """
         extra_key = (
             tuple(
@@ -230,7 +227,6 @@ class EngineCache:
             return build_arrangement(
                 relation,
                 hyperplanes=extra_hyperplanes or None,
-                parallel=jobs,
                 store=self.store,
             )
 
@@ -246,7 +242,6 @@ class EngineCache:
         database: ConstraintDatabase,
         decomposition: str = "arrangement",
         spatial_name: str = "S",
-        jobs: int | None = None,
     ) -> RegionExtension:
         """The region extension, reused across structurally equal builds."""
         key = (
@@ -271,15 +266,12 @@ class EngineCache:
                     outcome="miss", key=key[0][:12],
                 )
 
-        def factory(relation, extra_hyperplanes):
-            return self.arrangement(relation, extra_hyperplanes, jobs=jobs)
-
         def build() -> RegionExtension:
             return RegionExtension.build(
                 database,
                 decomposition,
                 spatial_name,
-                arrangement_factory=factory,
+                arrangement_factory=self.arrangement,
             )
 
         return self._get_or_build(
@@ -473,8 +465,8 @@ class QueryEngine:
     strings (parsed with :func:`repro.logic.parser.parse_query`).
 
     Runtime knobs arrive as one :class:`~repro.config.EngineConfig`
-    (``QueryEngine(db, config=EngineConfig.resolve(jobs=4))``).  Without
-    one the engine builds ``EngineConfig()``, whose ``None`` fields
+    (``QueryEngine(db, config=EngineConfig.resolve(lp_mode="exact"))``).
+    Without one the engine builds ``EngineConfig()``, whose ``None`` fields
     consult the environment at use time.
     """
 
@@ -509,9 +501,6 @@ class QueryEngine:
         self._plans: OrderedDict[str, tuple] = OrderedDict()
         registry = get_registry()
         self._c_opt_rewrites = registry.counter("optimizer.rewrites")
-        #: Worker processes for arrangement construction (``None`` =
-        #: consult the ``REPRO_JOBS`` environment variable).
-        self.jobs = config.jobs
         #: LP tier selection, ``"exact"`` or ``"filtered"`` (``None`` =
         #: consult ``REPRO_LP_MODE``, defaulting to ``"filtered"``).
         #: Both modes return identical statuses and exact witnesses, so
@@ -619,7 +608,6 @@ class QueryEngine:
                     self.database,
                     self.decomposition,
                     self.spatial_name,
-                    jobs=self.jobs,
                 )
         return self._extension
 
@@ -796,9 +784,7 @@ class QueryEngine:
                 arrangement = self._maintained.update(
                     old_rel,
                     new_rel,
-                    build_old=lambda rel=old_rel: self.cache.arrangement(
-                        rel, jobs=self.jobs
-                    ),
+                    build_old=lambda rel=old_rel: self.cache.arrangement(rel),
                 )
                 self.cache.seed_arrangement(
                     new_rel, arrangement, store=disk

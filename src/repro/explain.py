@@ -624,13 +624,11 @@ def _attach_optimizer_decisions(
 def _resolved_knobs(engine: "QueryEngine") -> dict[str, Any]:
     """The runtime knobs the engine runs under, each resolved
     explicit > environment > default."""
-    from repro.arrangement.parallel import resolve_jobs
     from repro.config import resolve_executor
     from repro.geometry import fastlp
 
     return {
         "lp_mode": engine.lp_mode or fastlp.get_lp_mode(),
-        "jobs": resolve_jobs(engine.jobs),
         "executor": resolve_executor(engine.config.executor),
     }
 

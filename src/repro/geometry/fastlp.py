@@ -51,11 +51,6 @@ from repro.geometry.linalg import Vector, affine_parametrization, vec_dot
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
-try:  # pragma: no cover - exercised indirectly on hosts with numpy
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
-
 ZERO = Fraction(0)
 
 LP_MODES = ("exact", "filtered")
@@ -84,9 +79,7 @@ class FilterConfig:
     anti-cycling rule, so stalling falls back instead of looping;
     ``witness_denominators`` — the rounding ladder for float witnesses
     (small denominators first: they certify just as well and keep the
-    rational arithmetic downstream cheap);
-    ``numpy_min_cells`` — tableaus with at least this many cells use the
-    vectorised numpy pivot loop when numpy is importable.
+    rational arithmetic downstream cheap).
     """
 
     pivot_eps: float = 1e-9
@@ -94,12 +87,9 @@ class FilterConfig:
     dual_eps: float = 1e-7
     max_iterations: int = 500
     witness_denominators: tuple[int, ...] = (2**10, 10**6, 10**13)
-    numpy_min_cells: int = 2048
 
 
 CONFIG = FilterConfig()
-
-_NUMPY_DISABLED = os.environ.get("REPRO_LP_NUMPY", "").strip() == "0"
 
 ExactOracle = Callable[[tuple[LinearConstraint, ...], int], Vector | None]
 
@@ -499,12 +489,6 @@ def _run_float_simplex(
     potential stalls into an ``"unknown"`` that the caller treats as a
     fallback; nothing downstream ever trusts a stalled tableau.
     """
-    if (
-        _np is not None
-        and not _NUMPY_DISABLED
-        and len(tableau) * (n_cols + 1) >= cfg.numpy_min_cells
-    ):
-        return _run_float_simplex_np(tableau, basis, n_cols, banned, cfg)
     m = len(tableau) - 1
     banned_set = set(banned)
     for _ in range(cfg.max_iterations):
@@ -545,40 +529,3 @@ def _float_pivot(tableau: list[list[float]], row: int, col: int) -> None:
             tableau[r] = [
                 v - factor * p for v, p in zip(current, pivot_row)
             ]
-
-
-def _run_float_simplex_np(
-    tableau: list[list[float]],
-    basis: list[int],
-    n_cols: int,
-    banned: tuple[int, ...],
-    cfg: FilterConfig,
-) -> str:  # pragma: no cover - exercised only on hosts with numpy
-    """Vectorised twin of :func:`_run_float_simplex` for large tableaus."""
-    matrix = _np.array(tableau, dtype=float)
-    m = matrix.shape[0] - 1
-    allowed = _np.ones(n_cols, dtype=bool)
-    for j in banned:
-        allowed[j] = False
-    status = "stalled"
-    for _ in range(cfg.max_iterations):
-        objective = matrix[-1, :n_cols]
-        candidates = _np.where(allowed & (objective < -cfg.pivot_eps))[0]
-        if candidates.size == 0:
-            status = "optimal"
-            break
-        entering = int(candidates[_np.argmin(objective[candidates])])
-        column = matrix[:m, entering]
-        positive = column > cfg.pivot_eps
-        if not positive.any():
-            status = "unbounded"
-            break
-        ratios = _np.full(m, _np.inf)
-        ratios[positive] = matrix[:m, -1][positive] / column[positive]
-        leaving = int(_np.argmin(ratios))
-        pivot_row = matrix[leaving] / matrix[leaving, entering]
-        matrix -= _np.outer(matrix[:, entering], pivot_row)
-        matrix[leaving] = pivot_row
-        basis[leaving] = entering
-    tableau[:] = matrix.tolist()
-    return status

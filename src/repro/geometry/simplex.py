@@ -451,35 +451,8 @@ def clear_feasibility_cache() -> None:
 
 
 def snapshot_feasibility_keys() -> frozenset:
-    """The memo's current key set (for delta export, see below)."""
+    """The memo's current key set."""
     return frozenset(_FEASIBILITY_CACHE)
-
-
-def export_feasibility_entries(
-    exclude: "frozenset | set" = frozenset(),
-) -> dict[tuple, Vector | None]:
-    """Memo entries not in ``exclude`` — a worker's own contribution.
-
-    Parallel arrangement workers snapshot the key set they inherited
-    (fork start) or started with (spawn start), enumerate their subtree,
-    and export only the entries they added; the parent folds them back
-    with :func:`merge_feasibility_entries` so the process ends in the
-    same memo state a sequential build would have produced.
-    """
-    return {
-        key: value
-        for key, value in _FEASIBILITY_CACHE.items()
-        if key not in exclude
-    }
-
-
-def merge_feasibility_entries(
-    entries: dict[tuple, Vector | None],
-) -> None:
-    """Fold exported memo entries in; existing entries win, no counters."""
-    for key, value in entries.items():
-        if key not in _FEASIBILITY_CACHE:
-            _store_feasibility(key, value)
 
 
 def _variable_components(

@@ -17,7 +17,7 @@ The subsystem has three layers, all with near-zero cost while idle:
   the bounded slow-query JSONL that auto-captures EXPLAIN ANALYZE.
 * :mod:`repro.obs.journal` — the flight recorder: a bounded ring buffer
   of typed events (span open/close, cache and store decisions, fixpoint
-  stage summaries, worker lifecycle), optionally streamed to JSONL via
+  stage summaries), optionally streamed to JSONL via
   ``--journal PATH`` / ``REPRO_JOURNAL``; :func:`~repro.obs.journal.\
   replay` folds a journal back into the exact span tree, which is what
   ``repro explain --analyze`` consumes.
@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     Counter,
     MetricsRegistry,
     get_registry,
-    merge_snapshot,
     metrics_snapshot,
     reset_metrics,
 )
@@ -51,11 +50,9 @@ from repro.obs.telemetry import (
     TelemetryRegistry,
     bucket_quantile,
     get_telemetry,
-    merge_series_state,
     quantile,
     render_prometheus,
     reset_telemetry,
-    telemetry_snapshot,
 )
 from repro.obs.slowlog import (
     ENV_SLOW_LOG,
@@ -101,7 +98,6 @@ __all__ = [
     "Counter",
     "MetricsRegistry",
     "get_registry",
-    "merge_snapshot",
     "metrics_snapshot",
     "reset_metrics",
     "ALLOWED_LABELS",
@@ -112,11 +108,9 @@ __all__ = [
     "TelemetryRegistry",
     "bucket_quantile",
     "get_telemetry",
-    "merge_series_state",
     "quantile",
     "render_prometheus",
     "reset_telemetry",
-    "telemetry_snapshot",
     "ENV_SLOW_LOG",
     "SlowQueryLog",
     "load_slow_log",

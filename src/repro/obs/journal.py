@@ -14,8 +14,6 @@ event type         payload (beyond ``seq`` / ``t`` / ``type``)
 ``span.close``     ``id``, ``wall_s``, ``calls``, ``attrs`` — the span
                    finished (final attributes)
 ``trace.end``      ``id``, ``wall_s`` — the collection's root closed
-``counter``        ``name``, ``delta`` — a counter checkpoint (worker
-                   merges, explicit flushes)
 ``cache``          ``layer`` (``engine`` | ``store``), ``kind``,
                    ``outcome`` (``hit`` | ``miss`` | ``write`` |
                    ``corrupt``), ``key`` — one cache/store decision
@@ -23,9 +21,6 @@ event type         payload (beyond ``seq`` / ``t`` / ``type``)
                    stage of a region fixpoint induction
 ``datalog.stage``  ``strategy``, ``stage``, ``deltas`` — per-predicate
                    delta disjunct counts of one semi-naive stage
-``worker.spawn``   ``jobs``, ``subtrees`` — a parallel build fanned out
-``worker.merge``   ``worker``, ``faces``, ``counters`` — one worker's
-                   face batch and counter deltas folded into the parent
 ``meta``           free-form (command lines, bench headers, …)
 =================  ====================================================
 
@@ -202,14 +197,6 @@ class Journal:
         if sink is not None:
             with self._lock:
                 sink.write(json.dumps(event, default=str) + "\n")
-
-    def emit_counters(self, snapshot: dict[str, int]) -> None:
-        """One ``counter`` event per non-zero entry of a snapshot."""
-        if not self.enabled:
-            return
-        for name, delta in sorted(snapshot.items()):
-            if delta:
-                self.emit("counter", name=name, delta=delta)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -18,8 +18,6 @@ The process-wide default registry is :func:`get_registry`; the CLI's
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 
 class Counter:
     """A monotone integer counter (resettable for hermetic measurement)."""
@@ -121,31 +119,3 @@ def reset_metrics(prefix: str | None = None) -> None:
 def metrics_snapshot(prefix: str | None = None) -> dict[str, int]:
     """Snapshot of the process-wide registry."""
     return _GLOBAL.snapshot(prefix)
-
-
-def merge_snapshot(
-    snapshot: Mapping[str, object],
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Fold a ``{name: delta}`` snapshot into a registry (default global).
-
-    This is how parallel arrangement workers ship their counters home:
-    the worker returns ``metrics_snapshot()`` deltas with its face
-    batches and the parent merges them, so ``--jobs N`` totals match the
-    sequential run exactly.
-
-    Entries whose value is a mapping are telemetry series states
-    (histogram/gauge snapshots from :func:`repro.obs.telemetry.\
-    telemetry_snapshot`) and are routed to the telemetry registry —
-    histogram counts and sums merge additively exactly once, so a worker
-    snapshot can carry both counter deltas and histogram state in one
-    dict without double-counting either.
-    """
-    target = registry if registry is not None else _GLOBAL
-    for name, delta in snapshot.items():
-        if isinstance(delta, Mapping):
-            from repro.obs.telemetry import merge_series_state
-
-            merge_series_state(delta)
-        elif delta:
-            target.counter(name).inc(delta)

@@ -24,12 +24,6 @@ layer on top of the same registry idiom:
   against a latency/error objective, surfaced in ``/v1/stats``;
 * :func:`quantile` — the one nearest-rank quantile implementation
   over raw samples (perfbench's tail latencies use it).
-
-Snapshot/merge mirrors the counter contract: workers ship
-:func:`telemetry_snapshot` states home and
-:func:`merge_series_state` folds them in additively exactly once
-(:func:`repro.obs.metrics.merge_snapshot` routes histogram/gauge
-states here automatically).
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ ALLOWED_LABELS = frozenset({"tenant", "endpoint", "executor", "lp_mode"})
 MAX_SERIES_PER_NAME = 64
 
 #: Default log-spaced latency buckets, in seconds: 100 µs doubling up to
-#: ~14 minutes.  Fixed (not per-series) so states merge bucket-for-bucket.
+#: ~14 minutes.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(1e-4 * 2**i for i in range(24))
 
 
@@ -192,30 +186,6 @@ class Histogram:
             "p99": bucket_quantile(self.buckets, cumulative, 0.99),
         }
 
-    def state(self) -> dict:
-        """A mergeable snapshot of this series (see :func:`merge_series_state`)."""
-        with self._lock:
-            return {
-                "type": "histogram",
-                "name": self.name,
-                "labels": dict(self.labels),
-                "buckets": list(self.buckets),
-                "counts": list(self._counts),
-                "count": self.count,
-                "sum": self.sum,
-            }
-
-    def merge_state(self, state: Mapping) -> None:
-        """Fold another histogram's state in, additively, exactly once."""
-        if tuple(float(b) for b in state["buckets"]) != self.buckets:
-            raise ValueError(f"bucket mismatch merging histogram {self.name!r}")
-        counts = state["counts"]
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self.count += state["count"]
-            self.sum += state["sum"]
-
     def reset(self) -> None:
         with self._lock:
             for i in range(len(self._counts)):
@@ -267,18 +237,6 @@ class Gauge:
             yield
         finally:
             self.dec()
-
-    def state(self) -> dict:
-        return {
-            "type": "gauge",
-            "name": self.name,
-            "labels": dict(self.labels),
-            "value": self.value,
-        }
-
-    def merge_state(self, state: Mapping) -> None:
-        """Adopt a shipped gauge state (last writer wins — gauges are levels)."""
-        self.set(state["value"])
 
     def reset(self) -> None:
         self.set(0.0)
@@ -357,20 +315,6 @@ class TelemetryRegistry:
         with self._lock:
             return [self._gauges[k] for k in sorted(self._gauges)]
 
-    def snapshot(self) -> dict[str, dict]:
-        """``{series_key: state}`` for every live series (mergeable)."""
-        out: dict[str, dict] = {}
-        for series in self.histograms():
-            out[self._series_key(series.name, series.labels)] = series.state()
-        for series in self.gauges():
-            out[self._series_key(series.name, series.labels)] = series.state()
-        return out
-
-    def merge(self, snapshot: Mapping[str, Mapping]) -> None:
-        """Fold a :meth:`snapshot` (or subset) in; each state counts once."""
-        for state in snapshot.values():
-            merge_series_state(state, self)
-
     def reset(self) -> None:
         """Zero every series (series identities survive, like counter reset)."""
         for series in self.histograms():
@@ -381,30 +325,6 @@ class TelemetryRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._histograms) + len(self._gauges)
-
-
-def merge_series_state(
-    state: Mapping, registry: "TelemetryRegistry | None" = None
-) -> None:
-    """Fold one shipped series state into a registry (default process-wide).
-
-    Histogram states add counts and sums exactly once; gauge states are
-    levels, so the shipped value simply replaces the local one.  This is
-    what :func:`repro.obs.metrics.merge_snapshot` calls for any snapshot
-    entry that is a mapping rather than an integer delta.
-    """
-    target = registry if registry is not None else _TELEMETRY
-    kind = state.get("type")
-    labels = state.get("labels") or {}
-    if kind == "histogram":
-        series = target.histogram(
-            state["name"], labels or None, buckets=state["buckets"]
-        )
-        series.merge_state(state)
-    elif kind == "gauge":
-        target.gauge(state["name"], labels or None).merge_state(state)
-    else:
-        raise ValueError(f"unknown telemetry state type: {kind!r}")
 
 
 #: The process-wide default telemetry registry.
@@ -419,11 +339,6 @@ def get_telemetry() -> TelemetryRegistry:
 def reset_telemetry() -> None:
     """Zero the process-wide telemetry registry (test isolation)."""
     _TELEMETRY.reset()
-
-
-def telemetry_snapshot() -> dict[str, dict]:
-    """Mergeable snapshot of the process-wide telemetry registry."""
-    return _TELEMETRY.snapshot()
 
 
 # --------------------------------------------------------------------------
@@ -487,7 +402,6 @@ def render_prometheus(
         lines.append(f"# TYPE {metric} histogram")
         for series in histo_families[name]:
             cumulative = series.cumulative()
-            state = series.state()
             for upper, cum in zip(series.buckets, cumulative):
                 labels = dict(series.labels)
                 labels["le"] = _format_value(upper)
@@ -502,8 +416,8 @@ def render_prometheus(
             ) + "}"
             lines.append(f"{metric}_bucket{suffix} {cumulative[-1]}")
             base = _label_suffix(series.labels)
-            lines.append(f"{metric}_count{base} {state['count']}")
-            lines.append(f"{metric}_sum{base} {_format_value(state['sum'])}")
+            lines.append(f"{metric}_count{base} {cumulative[-1]}")
+            lines.append(f"{metric}_sum{base} {_format_value(series.sum)}")
 
     return "\n".join(lines) + "\n"
 

@@ -10,7 +10,7 @@ A plan is a function of the query text alone:
 * :mod:`repro.optimizer.lift` — the region lift: element quantifiers
   over ``S(x̄)`` / ``x̄ ∈ R`` atoms become region quantifiers.
 
-Runtime knobs (``lp_mode``, ``jobs``, ``executor``) are not chosen
+Runtime knobs (``lp_mode``, ``executor``) are not chosen
 here: they resolve explicit > environment > default in
 :mod:`repro.config`.  The submodules are imported by their consumers.
 """

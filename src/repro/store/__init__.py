@@ -7,12 +7,12 @@ The package has two halves:
 * :mod:`repro.store.disk` — :class:`DiskStore`, the atomic/verified/
   LRU-bounded on-disk cache those envelopes live in.
 
-Process-wide resolution mirrors the LP-mode and jobs knobs: an explicit
+Process-wide resolution mirrors the LP-mode knob: an explicit
 argument (``EngineConfig(cache_dir=…)``, ``--cache-dir``) wins, then the
 ``REPRO_CACHE_DIR`` environment variable (with ``REPRO_CACHE_BUDGET``
-bytes for the LRU limit), then no persistence at all.  Parallel
-arrangement workers inherit ``REPRO_CACHE_DIR`` through the
-environment, so a warm parent store also warms its children.
+bytes for the LRU limit), then no persistence at all.  Subprocesses
+inherit ``REPRO_CACHE_DIR`` through the environment, so a warm parent
+store also warms its children.
 
     >>> from repro.store import store_scope
     >>> with store_scope("/tmp/repro-cache"):
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 #: Environment variable naming the cache directory (inherited by
-#: parallel workers and subprocesses).
+#: subprocesses).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Environment variable giving the LRU size budget in bytes.

@@ -1,5 +1,5 @@
 """Tests for the arrangement fast path: witness reuse, system dedup,
-process-parallel construction, and the sign-index cache."""
+seeded-prefix enumeration, and the sign-index cache."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from repro.arrangement.builder import (
     build_arrangement,
     enumerate_sign_vectors,
 )
-from repro.arrangement.parallel import resolve_jobs
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.simplex import clear_feasibility_cache
 from repro.obs.metrics import get_registry
@@ -98,56 +97,7 @@ class TestSystemDedup:
         assert signs_of(with_dedup) == signs_of(without)
 
 
-class TestParallelConstruction:
-    def test_parallel_matches_sequential_face_list(self):
-        planes = generic_lines(4)
-        sequential = build_arrangement(hyperplanes=planes, dimension=2)
-        parallel = build_arrangement(
-            hyperplanes=planes, dimension=2, parallel=2
-        )
-        assert signs_of(parallel) == signs_of(sequential)
-        assert [f.index for f in parallel.faces] == [
-            f.index for f in sequential.faces
-        ]
-
-    def test_parallel_build_metrics(self):
-        registry = get_registry()
-        builds = registry.get("arrangement.parallel_builds")
-        subtrees = registry.get("arrangement.parallel_subtrees")
-        fallbacks = registry.get("arrangement.parallel_fallbacks")
-        build_arrangement(
-            hyperplanes=generic_lines(3), dimension=2, parallel=2
-        )
-        ran = registry.get("arrangement.parallel_builds") - builds
-        fell_back = (
-            registry.get("arrangement.parallel_fallbacks") - fallbacks
-        )
-        # Worker pools may be unavailable in a sandbox; either way the
-        # attempt is visible in exactly one of the two counters.
-        assert ran + fell_back == 1
-        if ran:
-            assert registry.get("arrangement.parallel_subtrees") > subtrees
-
-    def test_single_job_stays_sequential(self):
-        registry = get_registry()
-        before = registry.get("arrangement.parallel_builds")
-        build_arrangement(
-            hyperplanes=generic_lines(3), dimension=2, parallel=1
-        )
-        assert registry.get("arrangement.parallel_builds") == before
-
-    def test_resolve_jobs_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_jobs(2) == 2
-        assert resolve_jobs(None) == 4
-
-    def test_resolve_jobs_defaults_and_clamps(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(0) == 1
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert resolve_jobs(None) == 1
-
+class TestSeededPrefix:
     def test_seeded_prefix_needs_witness(self):
         from repro.errors import GeometryError
 

@@ -286,9 +286,11 @@ class TestCounterParity:
     (``insertions``/``split_faces``/``retractions``/``merged_faces``)
     move only on the incremental path (docs/OBSERVABILITY.md)."""
 
-    def test_builds_and_faces_move_identically(self):
+    def test_builds_and_faces_move_identically(self, monkeypatch):
         from repro.obs.metrics import get_registry
 
+        # A disk store would answer the batch build without building.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         relation = triangle_relation()
         registry = get_registry()
 

@@ -29,7 +29,7 @@ class TestBenchRunners:
         record = run_bench_e3(sizes=(20,))
         assert record["benchmark"] == "E3"
         assert record["all_match"] is True
-        assert record["metadata"]["jobs"] == 1
+        assert "jobs" not in record["metadata"]
         assert record["metadata"]["lp_mode"] in ("exact", "filtered")
         for row in record["results"]:
             assert row["match"] is True
@@ -52,7 +52,7 @@ class TestBenchRunners:
     def test_records_carry_lp_mode_metadata(self):
         record = run_bench_e2(sizes=(2,))
         assert record["metadata"]["lp_mode"] in ("exact", "filtered")
-        assert record["metadata"]["jobs"] == record["jobs"]
+        assert "jobs" not in record and "jobs" not in record["metadata"]
 
     def test_records_carry_executor_backend_metadata(self):
         record = run_bench_e2(sizes=(2,))
@@ -115,14 +115,6 @@ class TestBenchCommand:
         code, text = run_cli("bench", "e2", "--sizes", "2,banana")
         assert code == 2
         assert "comma-separated integers" in text
-
-    def test_bench_e2_jobs_flag(self):
-        code, text = run_cli(
-            "bench", "e2", "--sizes", "2", "--check-only", "--jobs", "2",
-        )
-        assert code == 0
-        record = json.loads(text)
-        assert record["jobs"] == 2
 
     def test_bench_e3_check_only(self):
         code, text = run_cli(

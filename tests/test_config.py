@@ -17,7 +17,6 @@ from repro import ConstraintDatabase, QueryEngine, parse_formula
 from repro.config import (
     ENV_CACHE_BUDGET,
     ENV_CACHE_DIR,
-    ENV_JOBS,
     ENV_JOURNAL,
     ENV_LP_MODE,
     EngineConfig,
@@ -29,6 +28,9 @@ CONFIG_FIELDS = [
     "lp_mode", "jobs", "executor", "cache_dir", "cache_budget",
     "journal", "optimizer", "slow_log", "slo_latency_ms",
 ]
+
+#: The removed worker-count knob's environment variable.
+ENV_JOBS = "REPRO_JOBS"
 
 
 @pytest.fixture
@@ -47,7 +49,10 @@ def test_resolve_defaults(clean_env):
     assert config.cache_budget is None
     assert config.journal is None
     assert [f.name for f in dataclasses.fields(EngineConfig)] == CONFIG_FIELDS
-    assert list(config.describe()) == CONFIG_FIELDS
+    # ``jobs`` only accepts 1, so the description leaves it out.
+    assert list(config.describe()) == [
+        name for name in CONFIG_FIELDS if name != "jobs"
+    ]
 
 
 def test_resolve_reads_environment(clean_env, tmp_path):
@@ -58,7 +63,7 @@ def test_resolve_reads_environment(clean_env, tmp_path):
     clean_env.setenv(ENV_JOURNAL, "events.jsonl")
     config = EngineConfig.resolve()
     assert config.lp_mode == "exact"
-    assert config.jobs == 3
+    assert config.jobs == 1  # REPRO_JOBS is no longer read
     assert config.cache_dir == str(tmp_path)
     assert config.cache_budget == 4096
     assert config.journal == "events.jsonl"
@@ -71,9 +76,11 @@ def test_resolve_reads_environment(clean_env, tmp_path):
 def test_explicit_argument_beats_environment(clean_env, tmp_path):
     clean_env.setenv(ENV_LP_MODE, "exact")
     clean_env.setenv(ENV_JOBS, "7")
-    config = EngineConfig.resolve(lp_mode="filtered", jobs=2)
+    config = EngineConfig.resolve(lp_mode="filtered", jobs=1)
     assert config.lp_mode == "filtered"
-    assert config.jobs == 2
+    assert config.jobs == 1
+    with pytest.raises(ValueError, match="parallel .* was removed"):
+        EngineConfig.resolve(jobs=2)
 
 
 def test_resolve_pins_once(clean_env):
@@ -86,9 +93,11 @@ def test_resolve_pins_once(clean_env):
 def test_frozen_and_with_overrides(clean_env):
     config = EngineConfig.resolve()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.jobs = 4  # type: ignore[misc]
-    changed = config.with_overrides(jobs=4)
-    assert changed.jobs == 4 and config.jobs == 1
+        config.lp_mode = "exact"  # type: ignore[misc]
+    changed = config.with_overrides(lp_mode="exact")
+    assert changed.lp_mode == "exact" and config.lp_mode == "filtered"
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        config.with_overrides(jobs=4)
 
 
 def test_unknown_field_rejected(clean_env):
@@ -107,8 +116,11 @@ def test_unknown_field_rejected(clean_env):
 def test_validation_matches_engine_contract(clean_env):
     with pytest.raises(ValueError, match="lp_mode must be one of"):
         EngineConfig(lp_mode="approximate")
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        EngineConfig(jobs=0)
+    for jobs in (0, 2, 4):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            EngineConfig(jobs=jobs)
+    assert EngineConfig(jobs=1).jobs == 1
+    assert EngineConfig().jobs is None
     with pytest.raises(ValueError, match="cache_budget must be positive"):
         EngineConfig(cache_budget=-1)
 
@@ -120,10 +132,10 @@ def _interval_db() -> ConstraintDatabase:
 
 
 def test_engine_accepts_config(clean_env):
-    config = EngineConfig.resolve(jobs=2, lp_mode="exact")
+    config = EngineConfig.resolve(jobs=1, lp_mode="exact")
     engine = QueryEngine(_interval_db(), config=config)
     assert engine.config is config
-    assert engine.jobs == 2
+    assert not hasattr(engine, "jobs")
     assert engine.lp_mode == "exact"
     assert not engine.evaluate("S(x0)").is_empty()
 
@@ -221,4 +233,4 @@ def test_explain_lists_only_kept_knobs(clean_env, tmp_path):
     knobs = set(detail) - {
         "language", "relations", "result", "optimizer", "chosen", "because",
     }
-    assert knobs == {"lp_mode", "jobs", "executor"}
+    assert knobs == {"lp_mode", "executor"}

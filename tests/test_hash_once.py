@@ -2,10 +2,10 @@
 
 ``LinearTerm``, ``Atom``, ``LinearConstraint`` and ``Hyperplane`` cache
 their hash on first use.  ``str`` and enum hashes depend on
-``PYTHONHASHSEED``, so a cached hash must never travel in a pickle:
-parallel arrangement workers ship ``LinearConstraint`` feasibility-memo
-keys to their parent, and an unpickled key carrying the sender's hash
-would silently miss every dict lookup in the receiver.
+``PYTHONHASHSEED``, so a cached hash must never travel in a pickle: an
+unpickled ``LinearConstraint`` feasibility-memo key carrying the
+sender's hash would silently miss every dict lookup in a receiver that
+runs under another seed.
 """
 
 import os

@@ -306,9 +306,10 @@ class TestExplainAnnotations:
         assert "because:" in text
         # The resolved knobs sit on the root next to ``optimizer``; no
         # synthetic knob subtree is appended to the plan.
-        assert {"optimizer", "lp_mode", "jobs", "executor"} <= set(
+        assert {"optimizer", "lp_mode", "executor"} <= set(
             result.plan.detail
         )
+        assert "jobs" not in result.plan.detail
         assert not [
             node for node in result.plan.walk()
             if node.op in ("optimizer", "knob")
@@ -346,6 +347,7 @@ class TestExplainAnnotations:
 
     def test_root_detail_carries_resolved_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_LP_MODE", "exact")
+        # A variable of the removed worker-count knob is not read.
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         formula = parse_query("exists x. exists y. (S(x) & S(y) & x < 1)")
@@ -355,8 +357,9 @@ class TestExplainAnnotations:
         ).explain(formula)
         assert {
             key: deferred.plan.detail[key]
-            for key in ("lp_mode", "jobs", "executor")
-        } == {"lp_mode": "exact", "jobs": 3, "executor": "compiled"}
+            for key in ("lp_mode", "executor")
+        } == {"lp_mode": "exact", "executor": "compiled"}
+        assert "jobs" not in deferred.plan.detail
         # ... and explicit fields beat the environment.
         explicit = QueryEngine(
             interval_chain(3),
@@ -367,8 +370,9 @@ class TestExplainAnnotations:
         ).explain(formula)
         assert {
             key: explicit.plan.detail[key]
-            for key in ("lp_mode", "jobs", "executor")
-        } == {"lp_mode": "filtered", "jobs": 1, "executor": "interpreted"}
+            for key in ("lp_mode", "executor")
+        } == {"lp_mode": "filtered", "executor": "interpreted"}
+        assert "jobs" not in explicit.plan.detail
         assert "lp_mode=filtered" in explicit.format()
 
 

@@ -41,7 +41,13 @@ def _db(text: str = "(0 < x0 & x0 < 1) | (2 < x0 & x0 < 3)"):
 # ----------------------------------------------------------------------
 # Single-flight
 # ----------------------------------------------------------------------
-def test_cache_single_flight_builds_extension_once():
+@pytest.fixture
+def no_disk_store(monkeypatch):
+    """These tests count builds; a warm disk store would answer them."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
+def test_cache_single_flight_builds_extension_once(no_disk_store):
     """N threads, one cache, one database: one arrangement build."""
     workers = 8
     cache = EngineCache(metrics=MetricsRegistry())
@@ -70,9 +76,9 @@ def test_cache_single_flight_builds_extension_once():
     )
 
 
-def test_http_single_flight_builds_extension_once():
-    """The ISSUE contract, end-to-end: N concurrent identical queries
-    over HTTP increment ``arrangement.builds`` exactly once."""
+def test_http_single_flight_builds_extension_once(no_disk_store):
+    """The single-flight contract, end-to-end: N concurrent identical
+    queries over HTTP increment ``arrangement.builds`` exactly once."""
     workers = 6
     service = ConstraintService(
         {"demo": _db()}, max_concurrent=workers,

@@ -1,8 +1,7 @@
 """The dimensional telemetry layer: histograms, gauges, labels, SLOs.
 
 Covers the thread-safety contract (exact count/sum conservation under
-a 16-thread hammer), the label-cardinality guards, snapshot/merge
-without double-counting, the Prometheus text exposition invariants
+a 16-thread hammer), the label-cardinality guards, the Prometheus text exposition invariants
 (bucket monotonicity, ``+Inf`` equals ``_count``), the SLO burn-rate
 tracker and the slow-query log's bounded rotation.
 """
@@ -14,7 +13,6 @@ import threading
 import pytest
 
 from repro.obs import reset_all
-from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshot
 from repro.obs.slowlog import SlowQueryLog, load_slow_log
 from repro.obs.telemetry import (
     DEFAULT_BUCKETS,
@@ -28,7 +26,6 @@ from repro.obs.telemetry import (
     quantile,
     render_prometheus,
     reset_telemetry,
-    telemetry_snapshot,
 )
 
 
@@ -212,33 +209,6 @@ class TestRegistry:
         families = [s for s in registry.histograms() if s.name == "h"]
         assert len(families) <= MAX_SERIES_PER_NAME
 
-    def test_snapshot_merge_does_not_double_count(self):
-        source = TelemetryRegistry()
-        source.histogram("h", {"tenant": "acme"}).observe(0.01)
-        source.histogram("h", {"tenant": "acme"}).observe(0.02)
-        source.gauge("g").set(7.0)
-
-        target = TelemetryRegistry()
-        target.histogram("h", {"tenant": "acme"}).observe(0.04)
-        target.merge(source.snapshot())
-
-        merged = target.histogram("h", {"tenant": "acme"})
-        assert merged.count == 3
-        assert merged.sum == pytest.approx(0.07)
-        assert target.gauge("g").value == 7.0
-        # Merging the same snapshot twice WOULD double-count — each
-        # shipped state must be folded exactly once, like counters.
-        target.merge(source.snapshot())
-        assert merged.count == 5
-
-    def test_merge_bucket_mismatch_raises(self):
-        source = TelemetryRegistry()
-        source.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        target = TelemetryRegistry()
-        target.histogram("h")  # default buckets
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            target.merge(source.snapshot())
-
     def test_reset_zeroes_in_place(self):
         registry = TelemetryRegistry()
         histogram = registry.histogram("h")
@@ -262,33 +232,6 @@ class TestProcessWideHelpers:
         get_telemetry().histogram("h").observe(1.0)
         reset_telemetry()
         assert get_telemetry().histogram("h").count == 0
-
-    def test_merge_snapshot_routes_mixed_payload(self):
-        """One worker snapshot may carry counter deltas AND series states."""
-        worker = TelemetryRegistry()
-        worker.histogram("h").observe(0.5)
-        worker.gauge("g").set(9.0)
-        payload: dict = {"lp.solves": 4}
-        payload.update(worker.snapshot())
-
-        merge_snapshot(payload)
-
-        assert get_registry().counter("lp.solves").value == 4
-        assert get_telemetry().histogram("h").count == 1
-        assert get_telemetry().histogram("h").sum == pytest.approx(0.5)
-        assert get_telemetry().gauge("g").value == 9.0
-        # Telemetry states land in the telemetry registry, never as
-        # phantom counters.
-        snapshot = get_registry().snapshot()
-        assert all(isinstance(v, int) for v in snapshot.values())
-
-    def test_telemetry_snapshot_round_trip(self):
-        get_telemetry().histogram("h").observe(0.25)
-        shipped = telemetry_snapshot()
-        reset_all()
-        merge_snapshot(shipped)
-        assert get_telemetry().histogram("h").count == 1
-
 
 class TestRenderPrometheus:
     def test_counters_get_total_suffix_and_type(self):
