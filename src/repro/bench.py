@@ -50,13 +50,13 @@ def _timed(function, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _git_sha() -> str | None:
-    """The checkout's HEAD commit, or ``None`` outside a git repository."""
+def _git(*args: str) -> str | None:
+    """The output of ``git ARGS`` in this checkout; ``None`` outside one."""
     import subprocess
 
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=5,
@@ -66,18 +66,32 @@ def _git_sha() -> str | None:
         return None
     if completed.returncode != 0:
         return None
-    sha = completed.stdout.strip()
+    return completed.stdout
+
+
+def _git_sha() -> str | None:
+    """The checkout's HEAD commit, or ``None`` outside a git repository."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
     return sha or None
 
 
+def _git_dirty() -> bool | None:
+    """Whether the working tree differs from HEAD (``git status
+    --porcelain`` lists anything), so a record made before committing
+    does not pass for one of ``git_sha``; ``None`` outside a checkout."""
+    status = _git("status", "--porcelain")
+    return None if status is None else bool(status.strip())
+
+
 #: Metadata keys every BENCH_*.json record must carry (and, except for
-#: ``git_sha``, carry with a non-``None`` value).  ``write_record``
+#: the git keys, carry with a non-``None`` value).  ``write_record``
 #: refuses records that miss any of them, so a record without its
 #: executor provenance can never be committed silently.
 REQUIRED_METADATA = (
     "lp_mode",
     "executor",
     "git_sha",
+    "git_dirty",
     "timestamp_utc",
     "python_version",
 )
@@ -105,6 +119,7 @@ def _metadata() -> dict:
         "cache_dir": str(store.root) if store is not None else None,
         "store": store.stats() if store is not None else None,
         "git_sha": _git_sha(),
+        "git_dirty": _git_dirty(),
         "timestamp_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
@@ -320,9 +335,9 @@ def write_record(record: dict, path: str) -> None:
     """Write a benchmark record, refusing under-described metadata.
 
     Every record must carry the :data:`REQUIRED_METADATA` keys (with a
-    value, except ``git_sha`` which is legitimately ``None`` outside a
-    git checkout) so committed BENCH_*.json files always state the
-    lp_mode/executor provenance of their numbers.
+    value, except ``git_sha`` and ``git_dirty``, which are legitimately
+    ``None`` outside a git checkout) so committed BENCH_*.json files
+    always state the lp_mode/executor provenance of their numbers.
     """
     metadata = record.get("metadata")
     if not isinstance(metadata, dict):
@@ -331,7 +346,7 @@ def write_record(record: dict, path: str) -> None:
     unset = [
         key
         for key in REQUIRED_METADATA
-        if key != "git_sha" and metadata.get(key, None) is None
+        if not key.startswith("git_") and metadata.get(key, None) is None
     ]
     if missing or unset:
         raise ValueError(

@@ -275,15 +275,18 @@ class ConstraintRelation:
 
         One pass of :meth:`Atom.rename`: the schema has no duplicates
         and covers every free variable, so the mapping is a bijection
-        and overlapping old and new names cannot collide.  Cached DNFs
-        are carried over through the same renamed atoms; renaming
-        changes no verdict.
+        and overlapping old and new names cannot collide, and the
+        renamed formula needs no re-validation.  Cached DNFs are
+        carried over through the same renamed atoms; renaming changes
+        no verdict.
         """
         schema = tuple(new_variables)
         if len(schema) != self.arity:
             raise FormulaError("renaming must preserve arity")
         if schema == self.variables:
             return self
+        if len(set(schema)) != len(schema):
+            raise FormulaError(f"duplicate variables in schema {schema}")
         mapping = dict(zip(self.variables, schema))
         renamed_atoms: dict[Atom, Atom] = {}
 
@@ -293,7 +296,7 @@ class ConstraintRelation:
                 image = renamed_atoms[atom] = atom.rename(mapping)
             return image
 
-        renamed = ConstraintRelation.make(
+        renamed = ConstraintRelation(
             schema, _rename_atoms(self.formula, rename)
         )
         for key in ("disjuncts", "feasible"):
@@ -303,6 +306,31 @@ class ConstraintRelation:
                     tuple(map(rename, disjunct)) for disjunct in cached
                 ]
         return renamed
+
+    def widen(self, schema: Sequence[str]) -> "ConstraintRelation":
+        """The same formula over ``schema``, a superset or permutation
+        of this schema (cylindrification).
+
+        The formula is shared, not walked.  Neither DNF depends on the
+        schema, so the widened relation takes this relation's
+        :meth:`disjuncts` (computed here once, and kept here for the
+        next widening) and its feasible disjuncts when known.
+        """
+        schema = tuple(schema)
+        if schema == self.variables:
+            return self
+        if len(set(schema)) != len(schema) or not set(
+            self.variables
+        ) <= set(schema):
+            raise FormulaError(
+                f"cannot widen schema {self.variables} to {schema}"
+            )
+        widened = ConstraintRelation(schema, self.formula)
+        widened._cache["disjuncts"] = self.disjuncts()
+        feasible = self._cache.get("feasible")
+        if feasible is not None:
+            widened._cache["feasible"] = feasible
+        return widened
 
     def substitute(
         self, mapping: Mapping[str, LinearTerm]

@@ -100,12 +100,7 @@ def _compile_rule(
             hoisted = database.relation(atom.predicate).rename_to(
                 atom.variables
             )
-            pieces.append(
-                ir.Const(
-                    ConstraintRelation.make(schema, hoisted.formula),
-                    note=str(atom),
-                )
-            )
+            pieces.append(ir.Const(hoisted.widen(schema), note=str(atom)))
     for atom in rule.negated:
         _check_atom(atom)
         if atom.predicate in idb_predicates:
@@ -133,7 +128,7 @@ def _compile_rule(
         complemented = source_rel.rename_to(atom.variables).complement()
         pieces.append(
             ir.Const(
-                ConstraintRelation.make(schema, complemented.formula),
+                complemented.widen(schema),
                 note=f"!{atom}",
             )
         )

@@ -231,10 +231,7 @@ def _rule_once(
                 f"repeated variables in {atom}; use an explicit "
                 "equality constraint instead"
             )
-        renamed = source.rename_to(atom.variables)
-        pieces.append(
-            ConstraintRelation.make(schema, renamed.formula)
-        )
+        pieces.append(source.rename_to(atom.variables).widen(schema))
     for atom in rule.negated:
         if atom.predicate in idb:
             source = idb[atom.predicate]
@@ -246,7 +243,7 @@ def _rule_once(
                 "equality constraint instead"
             )
         renamed = source.rename_to(atom.variables).complement()
-        pieces.append(ConstraintRelation.make(schema, renamed.formula))
+        pieces.append(renamed.widen(schema))
     if rule.constraint is not None:
         pieces.append(ConstraintRelation.make(schema, rule.constraint))
     if not pieces:

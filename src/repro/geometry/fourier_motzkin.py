@@ -5,8 +5,9 @@ constraint — coefficients over positional variables, a relation and a right
 hand side — together with exact Fourier–Motzkin elimination of a variable
 from a conjunction of such constraints.  Fourier–Motzkin is the engine
 behind quantifier elimination for first-order logic over (ℝ, <, +)
-(Section 2 of the paper relies on this classical fact) and behind several
-geometric predicates in Appendix A.
+(Section 2 of the paper relies on this classical fact;
+:mod:`repro.constraints.qelim` runs the same steps on sparse atoms) and
+behind several geometric predicates in Appendix A.
 """
 
 from __future__ import annotations

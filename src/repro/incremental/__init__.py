@@ -11,9 +11,6 @@ maintained artifact is **byte-identical to a cold rebuild**:
   over :class:`~repro.arrangement.incremental.IncrementalArrangement`
   insertion *and* retraction) — combinatorially identical to a batch
   build;
-* ground fixpoints on the finite region sort use classical
-  counting/DRed maintenance
-  (:class:`~repro.incremental.ground.CountingFixpoint`);
 * every version's provenance is persisted and replayable
   (:class:`~repro.incremental.lineage.LineageLog`, with snapshot
   compaction).
@@ -37,14 +34,12 @@ from repro.incremental.delta import (
     invert,
     make_delta,
 )
-from repro.incremental.ground import CountingFixpoint, reachable_regions
 from repro.incremental.lineage import (
     DEFAULT_COMPACT_EVERY,
     LineageLog,
 )
 
 __all__ = [
-    "CountingFixpoint",
     "DEFAULT_COMPACT_EVERY",
     "Delta",
     "DeltaOp",
@@ -56,5 +51,4 @@ __all__ = [
     "formula_from_disjuncts",
     "invert",
     "make_delta",
-    "reachable_regions",
 ]

@@ -93,9 +93,7 @@ def _execute(
         return None if child is None else child.rename_to(node.schema)
     if isinstance(node, ir.Widen):
         child = _recurse(node.children[0], context, kernels, profiler)
-        if child is None:
-            return None
-        return ConstraintRelation.make(node.schema, child.formula)
+        return None if child is None else child.widen(node.schema)
     if isinstance(node, ir.Join):
         parts = [
             _recurse(child, context, kernels, profiler)

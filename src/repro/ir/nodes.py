@@ -18,7 +18,7 @@ Const      a relation materialised at compile time (EDB pieces,
            rule constraints, complements of already-fixed strata)
 Rename     positional schema rename (``rename_to``)
 Widen      cylindrification: reinterpret the formula over a larger
-           schema (``ConstraintRelation.make(schema, formula)``)
+           schema (``ConstraintRelation.widen``)
 Join       n-ary intersection over one schema (pruned DNF product)
 Union      n-ary union over one schema (pruned disjunct merge)
 Diff       left minus right (pruned product with the complement)

@@ -55,6 +55,19 @@ RegionEnv = dict[str, int]
 SetEnv = dict[str, frozenset[tuple[int, ...]]]
 
 
+def _plain_variables(args) -> tuple[str, ...] | None:
+    """The names of ``args`` when they are distinct plain variables."""
+    names = []
+    for term in args:
+        if term.constant or len(term.coefficients) != 1:
+            return None
+        ((name, coeff),) = term.coefficients
+        if coeff != 1:
+            return None
+        names.append(name)
+    return tuple(names) if len(set(names)) == len(names) else None
+
+
 def _true_relation() -> ConstraintRelation:
     return ConstraintRelation.make((), TRUE)
 
@@ -324,6 +337,13 @@ class Evaluator:
                 f"{formula.name} expects {relation.arity} arguments, "
                 f"got {len(formula.args)}"
             )
+        names = _plain_variables(formula.args)
+        if names is not None and relation.formula.free_variables() == set(
+            relation.variables
+        ):
+            # S(ȳ) on distinct variables is a renaming: it keeps the
+            # relation's cached DNFs, and is the substitution's formula.
+            return relation.rename_to(names).widen(sorted(names))
         mapping = dict(zip(relation.variables, formula.args))
         instantiated = relation.substitute(mapping)
         variables = tuple(sorted(instantiated.free_variables()))
@@ -410,9 +430,7 @@ class Evaluator:
         relation: ConstraintRelation, schema: tuple[str, ...]
     ) -> ConstraintRelation:
         """Cylindrify a relation to a larger schema (formula unchanged)."""
-        if relation.variables == schema:
-            return relation
-        return ConstraintRelation.make(schema, relation.formula)
+        return relation.widen(schema)
 
     def _exists_elem(
         self,

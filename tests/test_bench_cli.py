@@ -150,3 +150,26 @@ class TestBenchMetadataAndHistory:
         assert sha is None or (
             len(sha) == 40 and all(c in "0123456789abcdef" for c in sha)
         )
+        assert metadata["git_dirty"] in (None, True, False)
+        assert (metadata["git_dirty"] is None) == (sha is None)
+
+    def test_git_dirty_reads_porcelain_status(self, monkeypatch):
+        import repro.bench as bench
+
+        outputs = {"": False, " M src/repro/bench.py\n": True,
+                   "?? scratch.txt\n": True, None: None}
+        for status, dirty in outputs.items():
+            monkeypatch.setattr(bench, "_git", lambda *args: status)
+            assert bench._git_dirty() is dirty
+
+    def test_write_record_allows_null_git_dirty(self, tmp_path):
+        from repro.bench import write_record
+
+        record = run_bench_e2(sizes=(2,), check_only=True)
+        record["metadata"]["git_dirty"] = None
+        write_record(record, str(tmp_path / "ok.json"))
+        del record["metadata"]["git_dirty"]
+        import pytest
+
+        with pytest.raises(ValueError, match="git_dirty"):
+            write_record(record, str(tmp_path / "bad.json"))
