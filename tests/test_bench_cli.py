@@ -157,7 +157,7 @@ class TestBenchMetadataAndHistory:
         import repro.bench as bench
 
         outputs = {"": False, " M src/repro/bench.py\n": True,
-                   "?? scratch.txt\n": True, None: None}
+                   "?? notes.txt\n": True, None: None}
         for status, dirty in outputs.items():
             monkeypatch.setattr(bench, "_git", lambda *args: status)
             assert bench._git_dirty() is dirty
