@@ -87,7 +87,7 @@ def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persist arrangements and query answers under DIR so later "
+        help="persist arrangements and lineage under DIR so later "
         "runs warm-start from disk (default: $REPRO_CACHE_DIR, else no "
         "persistence; $REPRO_CACHE_BUDGET bounds the store in bytes)",
     )

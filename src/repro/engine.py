@@ -494,7 +494,6 @@ class QueryEngine:
         self._pinned_store = store_pkg.resolve_store(
             config.cache_dir, size_budget=config.cache_budget
         )
-        self._results: OrderedDict[str, ConstraintRelation] = OrderedDict()
         #: Rewritten plans, keyed by the original query's structural
         #: rendering.  Re-planning must return the *same* formula object
         #: so EXPLAIN's profiler frames line up with the plan tree.
@@ -585,19 +584,6 @@ class QueryEngine:
             self._plans.popitem(last=False)
         return planned
 
-    def result_key_text(self, original_text: str, optimized: bool) -> str:
-        """The store key text for a query answer.
-
-        Keys derive from the *original* query text, so a persisted
-        answer stays findable when the rewrite rules change the plan
-        it was computed from.  A mode marker keeps optimized and
-        ablated runs on separate entries: each mode's warm answers stay
-        byte-identical to its own cold run.
-        """
-        if optimized:
-            return "optimizer=on\x00" + original_text
-        return original_text
-
     @property
     def extension(self) -> RegionExtension:
         """The region extension 𝔅^Reg (cached across engines)."""
@@ -642,27 +628,10 @@ class QueryEngine:
             raise EvaluationError(
                 "queries must not have free region or set variables"
             )
-        # The cost-based rewrite (identity with the optimizer off); see
-        # result_key_text for why the store key uses the original text.
-        original_text = str(formula)
-        formula, outcome = self.plan(formula)
-        disk = self._store()
-        key = None
-        if disk is not None:
-            key = store_pkg.query_result_key(
-                self.fingerprint,
-                self.decomposition,
-                self.spatial_name,
-                self.result_key_text(original_text, outcome is not None),
-            )
-            cached = self._results.get(key)
-            if cached is not None:
-                self._results.move_to_end(key)
-                return cached
-            loaded = disk.load("relation", key)
-            if isinstance(loaded, ConstraintRelation):
-                self._remember(key, loaded)
-                return loaded
+        # The cost-based rewrite (identity with the optimizer off).  A
+        # repeat is answered by the evaluator's memo, which is keyed on
+        # the planned formula and dropped with the evaluator.
+        formula, __ = self.plan(formula)
         started = time.perf_counter()
         with TRACER.span("evaluate"), \
                 fastlp.lp_mode(self.lp_mode), \
@@ -671,9 +640,6 @@ class QueryEngine:
         self._observe_latency(
             "engine.evaluate_seconds", time.perf_counter() - started
         )
-        if disk is not None and key is not None:
-            disk.save("relation", key, answer)
-            self._remember(key, answer)
         return answer
 
     def _observe_latency(self, name: str, seconds: float) -> None:
@@ -689,15 +655,6 @@ class QueryEngine:
             "lp_mode": self.lp_mode or fastlp.get_lp_mode(),
         }
         get_telemetry().histogram(name, labels).observe(seconds)
-
-    #: In-memory bound on remembered per-query answer relations.
-    _RESULT_CAPACITY = 256
-
-    def _remember(self, key: str, answer: ConstraintRelation) -> None:
-        self._results[key] = answer
-        self._results.move_to_end(key)
-        while len(self._results) > self._RESULT_CAPACITY:
-            self._results.popitem(last=False)
 
     def truth(self, query: "ast.RegFormula | str") -> bool:
         """Truth of a boolean query (no free variables of any sort)."""
@@ -848,7 +805,6 @@ class QueryEngine:
         self.cache.invalidate(self.database)
         self._extension = None
         self._evaluator = None
-        self._results.clear()
 
     def stats(self) -> dict[str, object]:
         """One dict with the engine's caches and evaluator telemetry."""

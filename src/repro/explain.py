@@ -7,9 +7,10 @@ the formula's quantifier/connective structure, annotated with
 * the language tier (:func:`repro.logic.ast.classify_language`),
 * the database relations and arrangements each node needs, and
 * the *predicted* cache/store outcome of every expensive artifact —
-  region extension, arrangement, whole-query answer — resolved by
-  fingerprint against the engine cache and the disk store **without
-  perturbing either** (no counters move, no LRU entry is touched).
+  region extension and arrangement resolved by fingerprint against the
+  engine cache and the disk store, the whole-query answer against the
+  engine's evaluator memo — **without perturbing any of them** (no
+  counters move, no LRU entry is touched).
 
 With ``analyze=True`` the query is executed and every node carries its
 *measured* cost: wall time (inclusive and self), evaluator calls and
@@ -435,40 +436,25 @@ def _predict_setup(engine: "QueryEngine") -> dict[str, str]:
     return prediction
 
 
-def _predict_result(engine: "QueryEngine", key_text: str) -> str:
+def _predict_result(engine: "QueryEngine", formula: ast.RegFormula) -> str:
     """Predicted source of the whole-query answer relation."""
-    from repro import store as store_pkg
-
-    disk = engine._store()
-    if disk is None:
-        return "compute"
-    key = store_pkg.query_result_key(
-        engine.fingerprint,
-        engine.decomposition,
-        engine.spatial_name,
-        key_text,
-    )
-    if key in engine._results:
+    evaluator = engine._evaluator
+    if evaluator is not None and \
+            evaluator._memo_key(formula, {}, {}) in evaluator._memo:
         return "memory"
-    if disk.entry_path("relation", key).exists():
-        return "store"
     return "compute"
 
 
 def compile_plan(
     engine: "QueryEngine",
     formula: ast.RegFormula,
-    result_key_text: str | None = None,
 ) -> tuple[PlanNode, dict[int, PlanNode]]:
     """The static plan tree plus the ``id(formula) -> PlanNode`` index.
 
     The root is a synthetic ``query`` node with two children: a
     ``setup`` node standing for the Theorem-3.1 construction (region
     extension + arrangement, with predicted sources) and the formula's
-    own operator tree.  ``result_key_text`` is the store key text the
-    engine would use for this query's answer (the original query text,
-    mode-marked — see ``QueryEngine.result_key_text``); it defaults to
-    ``str(formula)``, which is only correct for unoptimized plans.
+    own operator tree.
     """
     language = classify_language(formula)
     index: dict[int, PlanNode] = {}
@@ -478,12 +464,7 @@ def compile_plan(
         {
             "language": language,
             "relations": _relations_needed(formula),
-            "result": _predict_result(
-                engine,
-                result_key_text
-                if result_key_text is not None
-                else str(formula),
-            ),
+            "result": _predict_result(engine, formula),
         },
     )
     setup = PlanNode(
@@ -650,13 +631,7 @@ def explain_query(
     # plan nodes line up; ``outcome`` carries the recorded decisions.
     planned, outcome = engine.plan(formula)
     language = classify_language(planned)
-    plan, index = compile_plan(
-        engine,
-        planned,
-        result_key_text=engine.result_key_text(
-            str(formula), outcome is not None
-        ),
-    )
+    plan, index = compile_plan(engine, planned)
     plan.detail["optimizer"] = "on" if outcome is not None else "off"
     plan.detail.update(_resolved_knobs(engine))
     if outcome is not None:

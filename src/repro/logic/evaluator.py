@@ -121,6 +121,11 @@ def _structural_key(formula: ast.RegFormula) -> _StructuralKey:
 class Evaluator:
     """Evaluates region-logic queries over one region extension."""
 
+    #: Bound on memoised subformula results; the oldest-inserted entry
+    #: is evicted first.  Not scoped per query: constant-free
+    #: subformulas hit across the queries of a long-lived engine.
+    _MEMO_CAPACITY = 4096
+
     def __init__(
         self,
         extension: RegionExtension,
@@ -220,6 +225,8 @@ class Evaluator:
         else:
             result = self._dispatch_traced(formula, region_env, set_env)
         self._memo[key] = result
+        if len(self._memo) > self._MEMO_CAPACITY:
+            del self._memo[next(iter(self._memo))]
         return result
 
     def _dispatch_traced(

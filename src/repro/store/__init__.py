@@ -16,7 +16,7 @@ store also warms its children.
 
     >>> from repro.store import store_scope
     >>> with store_scope("/tmp/repro-cache"):
-    ...     engine.evaluate(query)   # hits disk on the second process
+    ...     engine.evaluate(query)   # A(S) loads from disk in a later process
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.store.codec import (
     SCHEMA_VERSION,
     arrangement_key,
     lineage_key,
-    query_result_key,
 )
 from repro.store.disk import DiskStore
 from repro.store.lineage import LineageRecord
@@ -47,7 +46,6 @@ __all__ = [
     "codec",
     "configure_store",
     "lineage_key",
-    "query_result_key",
     "resolve_store",
     "store_at",
     "store_scope",

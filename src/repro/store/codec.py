@@ -25,7 +25,8 @@ JSON (sorted keys, no whitespace, ASCII) wrapped in an *envelope*::
 Supported kinds: ``"arrangement"`` (:class:`~repro.arrangement.builder.
 Arrangement` — hyperplanes, faces with exact witness points, the
 defining relation), ``"relation"`` (:class:`~repro.constraints.
-relation.ConstraintRelation` — schema plus the full formula AST) and
+relation.ConstraintRelation` — schema plus the full formula AST, the
+form arrangements and lineage records embed their relations in) and
 ``"lineage"`` (:class:`~repro.store.lineage.LineageRecord` — one
 version edge of an updated database).  Formulas are encoded
 structurally (tagged nodes), not as source text, so the round-trip
@@ -66,8 +67,9 @@ from repro.store.lineage import LineageRecord
 #: store) instead of being decoded with the wrong reader.  Adding the
 #: ``lineage`` kind did not bump it: existing kinds' payloads are
 #: untouched, and unknown-kind entries were already rejected by name.
-#: Nor did dropping the ``statistics`` kind: nothing reads or writes
-#: such entries any more, and they age out under the store's budget.
+#: Nor did dropping the ``statistics`` kind, or the query answers once
+#: filed as ``relation`` entries: nothing reads or writes such entries
+#: any more, and they age out under the store's budget.
 SCHEMA_VERSION = 1
 
 #: The artifact kinds the codec understands.
@@ -513,22 +515,6 @@ def arrangement_key(
     )
     parts.append(relation.fingerprint() if relation is not None else "-")
     return digest_key(*parts)
-
-
-def query_result_key(
-    database_fingerprint: str,
-    decomposition: str,
-    spatial_name: str,
-    query: object,
-) -> str:
-    """The disk key of one query's answer relation."""
-    return digest_key(
-        "relation",
-        database_fingerprint,
-        decomposition,
-        spatial_name,
-        str(query),
-    )
 
 
 def lineage_key(child_fingerprint: str) -> str:

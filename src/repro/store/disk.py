@@ -5,7 +5,7 @@ content digests of :mod:`repro.store.codec` — to verified envelope
 files::
 
     <root>/v1/arrangement/ab/abcdef….json
-    <root>/v1/relation/c0/c0ffee….json
+    <root>/v1/lineage/c0/c0ffee….json
     <root>/quarantine/…                    # corrupted entries, kept
 
 Design rules (the same trust model as the LP filter: fast when right,

@@ -4,13 +4,16 @@ the QueryEngine entry point.
 The satellite criteria: structurally equal databases hit the cache; a
 mutated formula or a renamed relation misses; invalidation drops the
 entries; an engine on the process-default cache agrees with one on a
-fresh cache; the public engine path emits no deprecation warnings.
+fresh cache; the public engine path emits no deprecation warnings;
+the evaluator memo answers repeats with or without a store, is dropped
+by a write, and no answer is filed in the store.
 """
 
 import warnings
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.errors import EvaluationError
 from repro.constraints.database import ConstraintDatabase
 from repro.constraints.parser import parse_formula
@@ -22,8 +25,10 @@ from repro.engine import (
     default_cache,
     relation_fingerprint,
 )
+from repro.incremental import make_delta
 from repro.logic.parser import parse_query
 from repro.obs.metrics import MetricsRegistry
+from repro.store.disk import DiskStore
 
 
 def interval_db(text: str = "(0 < x0 & x0 < 1) | (2 < x0 & x0 < 3)",
@@ -232,3 +237,51 @@ class TestQueryEngine:
     def test_repr_mentions_fingerprint(self):
         engine = QueryEngine(interval_db(), cache=fresh_cache())
         assert engine.fingerprint[:12] in repr(engine)
+
+
+class TestAnswerCache:
+    """The evaluator memo is the one answer cache."""
+
+    def test_repeat_after_delta_returns_post_delta_answer(self):
+        engine = QueryEngine(interval_db(), cache=fresh_cache())
+        query = "S(x) & x > 4"
+        assert engine.evaluate(query).is_empty()
+        engine.apply_delta(
+            make_delta(("insert", "S", parse_formula("4 < x0 & x0 < 5")))
+        )
+        after = engine.evaluate(query)
+        expected = QueryEngine(
+            engine.database, cache=fresh_cache()
+        ).evaluate(query)
+        assert not after.is_empty()
+        assert str(after.formula) == str(expected.formula)
+
+    def test_store_gets_no_answer_entries(self, tmp_path):
+        store = DiskStore(tmp_path, metrics=MetricsRegistry())
+        engine = QueryEngine(
+            interval_db(),
+            cache=fresh_cache(),
+            config=EngineConfig(cache_dir=store),
+        )
+        for query in ("S(x) & x < 1", "exists x. S(x)", "S(x) & x > 2"):
+            engine.evaluate(query)
+        assert (store.entries_root / "arrangement").exists()
+        assert not (store.entries_root / "relation").exists()
+
+    def test_repeat_without_store_is_remembered(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        engine = QueryEngine(interval_db(), cache=fresh_cache())
+        assert engine._store() is None
+        query = "S(x) & x < 1"
+        assert engine.explain(query).plan.detail["result"] == "compute"
+        first = engine.evaluate(query)
+        assert engine.explain(query).plan.detail["result"] == "memory"
+        metrics = engine.evaluator.metrics
+        hits, evaluations = metrics.get("memo_hits"), metrics.get("evaluations")
+        assert engine.evaluate(parse_query(query)) is first
+        # The repeat is one root memo hit; nothing is re-evaluated.
+        assert metrics.get("memo_hits") == hits + 1
+        assert metrics.get("evaluations") == evaluations
+        # EXPLAIN ANALYZE of the repeat reports that memo hit.
+        analyzed = engine.explain(query, analyze=True).plan
+        assert analyzed.children[1].cost["memo_hits"] == 1

@@ -119,12 +119,16 @@ class TestCompile:
         assert cold.plan.children[0].detail["extension"] == "build"
 
     def test_store_prediction(self, cache, tmp_path):
+        # Answers are never read from the store: a repeat on the same
+        # engine is a memory hit, a fresh engine over the store computes.
         config = EngineConfig(cache_dir=str(tmp_path / "store"))
         engine = QueryEngine(one_dim_database(), cache=cache, config=config)
         engine.evaluate("exists x0. S(x0)")
+        plan = engine.explain("exists x0. S(x0)").plan
+        assert plan.detail["result"] == "memory"
         fresh = QueryEngine(one_dim_database(), cache=cache, config=config)
         plan = fresh.explain("exists x0. S(x0)").plan
-        assert plan.detail["result"] == "store"
+        assert plan.detail["result"] == "compute"
 
     def test_fixpoint_node_detail(self, cache):
         query = connectivity_query_lfp(1)

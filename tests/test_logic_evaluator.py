@@ -331,6 +331,16 @@ class TestMemoisation:
         assert len(ev._fixpoint_memo) == 1
         assert ev.metrics.get("fixpoint_stages") == stages
 
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(Evaluator, "_MEMO_CAPACITY", 8)
+        engine = QueryEngine(TWO_INTERVALS)
+        for k in range(20):
+            query = f"S(x) & x < {k}/7"
+            answer = engine.evaluate(query)
+            assert len(engine.evaluator._memo) <= 8
+            fresh = QueryEngine(TWO_INTERVALS).evaluate(query)
+            assert str(answer.formula) == str(fresh.formula)
+
     def test_distinct_formulas_do_not_collide(self):
         ext = RegionExtension.build(TWO_INTERVALS)
         ev = Evaluator(ext)

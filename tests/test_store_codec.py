@@ -307,5 +307,4 @@ def test_keys_are_content_addressed():
     k2 = codec.arrangement_key(a2.hyperplanes, 2, r2)
     assert k1 == k1_again
     assert k1 != k2
-    assert codec.query_result_key("fp", "arrangement", "S", "q1") != \
-        codec.query_result_key("fp", "arrangement", "S", "q2")
+    assert codec.lineage_key("fp1") != codec.lineage_key("fp2")

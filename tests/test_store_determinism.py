@@ -39,9 +39,7 @@ print(json.dumps({
     "arrangement_key": codec.arrangement_key(
         arrangement.hyperplanes, 2, triangle
     ),
-    "result_key": codec.query_result_key(
-        database_fingerprint(db), "arrangement", "S", "exists x. S(x, x)"
-    ),
+    "lineage_key": codec.lineage_key(database_fingerprint(db)),
     "envelope_sha": codec.checksum(
         codec.SCHEMA_VERSION,
         "arrangement",

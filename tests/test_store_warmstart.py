@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.constraints.io import parse_formula
 from repro.constraints.relation import ConstraintRelation
 from repro.config import EngineConfig
-from repro.engine import EngineCache, QueryEngine
+from repro.engine import EngineCache, QueryEngine, default_cache
 from repro.obs.metrics import MetricsRegistry
 from repro.store.disk import DiskStore
 from repro.workloads.generators import interval_chain
@@ -170,12 +170,16 @@ def test_cli_cache_dir_warm_starts_profile(tmp_path):
     cache = tmp_path / "clicache"
     query = ["profile", "examples/map.cdb", "exists x. S(x, x)",
              "--cache-dir", str(cache)]
+    # Each half runs as a fresh process would: with empty in-memory
+    # caches, so the cold half builds A(S) and the warm half loads it.
+    default_cache().invalidate()
     cold_out = io.StringIO()
     assert main(query, out=cold_out) == 0
     cold = json.loads(cold_out.getvalue())
     assert cold["cache_dir"] == str(cache)
     assert cold["store"]["writes"] > 0
 
+    default_cache().invalidate()
     warm_out = io.StringIO()
     assert main(query, out=warm_out) == 0
     warm = json.loads(warm_out.getvalue())
