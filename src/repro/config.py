@@ -82,8 +82,9 @@ EXECUTORS = ("compiled", "interpreted")
 #: oracle path the equivalence suite compares against.
 OPTIMIZERS = ("on", "off")
 
-#: Default per-request latency objective, milliseconds.  Feeds both the
-#: per-tenant SLO burn-rate tracker and the slow-query capture threshold.
+#: Default per-request latency objective, milliseconds.  It is a bucket
+#: bound of the server's request histogram (per-tenant SLO breaches are
+#: read off it) and the slow-query capture threshold.
 DEFAULT_SLO_LATENCY_MS = 250.0
 
 
@@ -173,9 +174,10 @@ class EngineConfig:
     #: Slow-query log JSONL path (``None`` = env at use time, else no
     #: slow-query capture).
     slow_log: str | None = None
-    #: Per-request latency objective in milliseconds; feeds the SLO
-    #: burn-rate tracker and the slow-query capture threshold (``None``
-    #: = env at use time, else :data:`DEFAULT_SLO_LATENCY_MS`).
+    #: Per-request latency objective in milliseconds: the SLO breach
+    #: bound of the request histogram and the slow-query capture
+    #: threshold (``None`` = env at use time, else
+    #: :data:`DEFAULT_SLO_LATENCY_MS`).
     slo_latency_ms: float | None = None
 
     def __post_init__(self) -> None:

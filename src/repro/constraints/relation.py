@@ -41,6 +41,17 @@ from repro.constraints.qelim import (
 from repro.constraints.terms import LinearTerm
 
 
+def _check_schema(schema: tuple[str, ...], free: Iterable[str]) -> None:
+    """Raise unless ``schema`` is duplicate-free and covers ``free``."""
+    if len(set(schema)) != len(schema):
+        raise FormulaError(f"duplicate variables in schema {schema}")
+    stray = set(free) - set(schema)
+    if stray:
+        raise FormulaError(
+            f"formula mentions variables outside the schema: {sorted(stray)}"
+        )
+
+
 @dataclass(frozen=True)
 class ConstraintRelation:
     """A relation over schema ``variables`` represented by ``formula``."""
@@ -57,15 +68,9 @@ class ConstraintRelation:
     ) -> "ConstraintRelation":
         """Validating constructor: formula must be QF over the schema."""
         schema = tuple(variables)
-        if len(set(schema)) != len(schema):
-            raise FormulaError(f"duplicate variables in schema {schema}")
         if not formula.is_quantifier_free():
             formula = eliminate_quantifiers(formula)
-        stray = formula.free_variables() - set(schema)
-        if stray:
-            raise FormulaError(
-                f"formula mentions variables outside the schema: {sorted(stray)}"
-            )
+        _check_schema(schema, formula.free_variables())
         return ConstraintRelation(schema, formula)
 
     @staticmethod
@@ -414,10 +419,22 @@ def relation_from_disjuncts(
     non-empty by construction.  The list, in the form ``to_dnf`` gives
     the built formula (``formula_dnf``), then seeds both
     :meth:`ConstraintRelation.disjuncts` and
-    :meth:`ConstraintRelation.feasible_disjuncts`.
+    :meth:`ConstraintRelation.feasible_disjuncts`.  The formula is
+    quantifier-free by construction, so the schema check reads the
+    atoms' variables instead of walking the built formula.
     """
     disjuncts = list(disjuncts)
-    relation = ConstraintRelation.make(variables, dnf_to_formula(disjuncts))
+    schema = tuple(variables)
+    _check_schema(
+        schema,
+        (
+            name
+            for disjunct in disjuncts
+            for atom in disjunct
+            for name in atom.term.variables
+        ),
+    )
+    relation = ConstraintRelation(schema, dnf_to_formula(disjuncts))
     relation._cache["disjuncts"] = relation._cache["feasible"] = (
         formula_dnf(disjuncts)
     )

@@ -233,20 +233,6 @@ class NodeProfiler:
     def memo_hit(self, formula: ast.RegFormula) -> None:
         self._node(formula)["memo_hits"] += 1
 
-    def cost_of(self, formula: ast.RegFormula) -> dict[str, Any] | None:
-        """The JSON-ready cost block of one formula node (or ``None``)."""
-        node = self.stats.get(id(formula))
-        if node is None:
-            return None
-        return _cost_block(
-            node["wall_s"],
-            node["self_wall_s"],
-            dict(zip(self.counters, node["counters"])),
-            dict(zip(self.counters, node["self_counters"])),
-            calls=node["calls"],
-            memo_hits=node["memo_hits"],
-        )
-
 
 def _cost_block(
     wall_s: float,
@@ -557,6 +543,50 @@ def _delta(
     return {name: after[name] - before[name] for name in before}
 
 
+def _attach_profile(
+    plan: PlanNode,
+    index: dict[int, PlanNode],
+    profiler: NodeProfiler,
+    wall: float,
+    total_delta: dict[str, int],
+    other_label: str,
+    attributed: dict[str, int] | None = None,
+    attributed_wall: float = 0.0,
+) -> None:
+    """Attach the profiler's per-node costs, then the remainder.
+
+    Every indexed plan node the profiler saw gets its cost block.
+    Whatever the frames did not bracket, beyond ``attributed`` /
+    ``attributed_wall`` already charged elsewhere, lands on a synthetic
+    trailing ``other`` child of ``plan``, so per-node self values sum
+    to the run totals exactly.
+    """
+    attributed = dict(attributed or {})
+    for node_id, plan_node in index.items():
+        stats = profiler.stats.get(node_id)
+        if stats is None:
+            continue
+        plan_node.cost = _cost_block(
+            stats["wall_s"],
+            stats["self_wall_s"],
+            dict(zip(profiler.counters, stats["counters"])),
+            dict(zip(profiler.counters, stats["self_counters"])),
+            calls=stats["calls"],
+            memo_hits=stats["memo_hits"],
+        )
+        for name, value in zip(profiler.counters, stats["self_counters"]):
+            attributed[name] = attributed.get(name, 0) + value
+        attributed_wall += stats["self_wall_s"]
+    remainder = {
+        name: total_delta[name] - attributed.get(name, 0)
+        for name in total_delta
+    }
+    other_wall = max(0.0, wall - attributed_wall)
+    other = PlanNode("other", other_label)
+    other.cost = _cost_block(other_wall, other_wall, remainder, remainder)
+    plan.children.append(other)
+
+
 def _attach_stage_events(
     index: dict[int, PlanNode], events: list[dict]
 ) -> None:
@@ -671,48 +701,18 @@ def explain_query(
     wall = time.perf_counter() - start
     total_delta = _delta(before, _snapshot(registry))
 
-    # Attach measured costs: setup, then every evaluated formula node.
-    setup_node, formula_node = plan.children[0], plan.children[1]
-    setup_node.cost = _cost_block(
+    # Attach measured costs: setup, then every evaluated formula node;
+    # what the frames did not bracket (parsing, result post-processing)
+    # goes to the trailing ``other`` node.
+    plan.children[0].cost = _cost_block(
         setup_wall, setup_wall, dict(setup_delta), dict(setup_delta)
     )
-    attributed = dict(setup_delta)
-    attributed_wall = setup_wall
-    for node_id, plan_node in index.items():
-        cost = None
-        stats = profiler.stats.get(node_id)
-        if stats is not None:
-            cost = _cost_block(
-                stats["wall_s"],
-                stats["self_wall_s"],
-                dict(zip(profiler.counters, stats["counters"])),
-                dict(zip(profiler.counters, stats["self_counters"])),
-                calls=stats["calls"],
-                memo_hits=stats["memo_hits"],
-            )
-            for name, value in zip(
-                profiler.counters, stats["self_counters"]
-            ):
-                attributed[name] = attributed.get(name, 0) + value
-            attributed_wall += stats["self_wall_s"]
-        plan_node.cost = cost
+    _attach_profile(
+        plan, index, profiler, wall, total_delta,
+        "Other: bookkeeping / answer post-processing",
+        attributed=setup_delta, attributed_wall=setup_wall,
+    )
     _attach_stage_events(index, events)
-
-    # Whatever the frames did not bracket (parsing, answer caching,
-    # result post-processing) lands on a synthetic trailing node, so
-    # per-node self values sum to the totals exactly.
-    remainder = {
-        name: total_delta[name] - attributed.get(name, 0)
-        for name in total_delta
-    }
-    other_wall = max(0.0, wall - attributed_wall)
-    other = PlanNode(
-        "other", "Other: bookkeeping / answer post-processing"
-    )
-    other.cost = _cost_block(
-        other_wall, other_wall, dict(remainder), dict(remainder)
-    )
-    plan.children.append(other)
     plan.cost = _cost_block(wall, 0.0, dict(total_delta), {})
 
     totals = {
@@ -870,44 +870,13 @@ def explain_datalog(
     wall = time.perf_counter() - start
     total_delta = _delta(before, _snapshot(registry))
 
-    attributed: dict[str, int] = {}
-    attributed_wall = 0.0
     if profiler is not None:
-        for ir_id, plan_node in ir_index.items():
-            stats = profiler.stats.get(ir_id)
-            if stats is None:
-                continue
-            plan_node.cost = _cost_block(
-                stats["wall_s"],
-                stats["self_wall_s"],
-                dict(zip(profiler.counters, stats["counters"])),
-                dict(zip(profiler.counters, stats["self_counters"])),
-                calls=stats["calls"],
-                memo_hits=stats["memo_hits"],
-            )
-            for name, value in zip(
-                profiler.counters, stats["self_counters"]
-            ):
-                attributed[name] = attributed.get(name, 0) + value
-            attributed_wall += stats["self_wall_s"]
-        # Whatever the executor frames did not bracket (stratum
-        # compilation, delta bookkeeping, convergence checks) lands on
-        # a synthetic node, so per-node self values sum to the run
-        # totals exactly.
-        remainder = {
-            name: total_delta.get(name, 0) - attributed.get(name, 0)
-            for name in set(total_delta) | set(attributed)
-        }
-        other = PlanNode(
-            "other", "Other: compilation / delta bookkeeping"
+        # Stratum compilation, delta bookkeeping and convergence checks
+        # go to the trailing ``other`` node.
+        _attach_profile(
+            root, ir_index, profiler, wall, total_delta,
+            "Other: compilation / delta bookkeeping",
         )
-        other.cost = _cost_block(
-            max(0.0, wall - attributed_wall),
-            max(0.0, wall - attributed_wall),
-            dict(remainder),
-            dict(remainder),
-        )
-        root.children.append(other)
 
     stage_events = [e for e in events if e["type"] == "datalog.stage"]
     for node in stratum_nodes:

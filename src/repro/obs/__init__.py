@@ -10,11 +10,11 @@ The subsystem has three layers, all with near-zero cost while idle:
   :data:`TRACER`, disabled by default; ``repro profile`` and the
   ``--trace`` CLI flag turn it on around one command.
 * :mod:`repro.obs.telemetry` — the distribution layer: thread-safe
-  histograms (log-spaced buckets, exact count/sum, p50/p90/p99
-  estimates) and gauges with optional low-cardinality labels, the
-  Prometheus text renderer behind ``GET /metrics`` / ``repro metrics``,
-  and per-tenant SLO burn-rate tracking; :mod:`repro.obs.slowlog` holds
-  the bounded slow-query JSONL that auto-captures EXPLAIN ANALYZE.
+  histograms (log-spaced buckets, exact count/sum) with optional
+  low-cardinality labels, and the Prometheus text renderer behind
+  ``GET /metrics`` / ``repro metrics`` (gauges are read from live state
+  at render time); :mod:`repro.obs.slowlog` holds the bounded
+  slow-query JSONL that auto-captures EXPLAIN ANALYZE.
 * :mod:`repro.obs.journal` — the flight recorder: a bounded ring buffer
   of typed events (span open/close, cache and store decisions, fixpoint
   stage summaries), optionally streamed to JSONL via
@@ -44,11 +44,8 @@ from repro.obs.metrics import (
 from repro.obs.telemetry import (
     ALLOWED_LABELS,
     DEFAULT_BUCKETS,
-    Gauge,
     Histogram,
-    SloTracker,
     TelemetryRegistry,
-    bucket_quantile,
     get_telemetry,
     quantile,
     render_prometheus,
@@ -102,11 +99,8 @@ __all__ = [
     "reset_metrics",
     "ALLOWED_LABELS",
     "DEFAULT_BUCKETS",
-    "Gauge",
     "Histogram",
-    "SloTracker",
     "TelemetryRegistry",
-    "bucket_quantile",
     "get_telemetry",
     "quantile",
     "render_prometheus",

@@ -27,7 +27,6 @@ from contextlib import asynccontextmanager
 from typing import AsyncIterator, Callable
 
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.telemetry import TelemetryRegistry, get_telemetry
 
 #: Tenant used when a request names none.
 DEFAULT_TENANT = "public"
@@ -126,7 +125,6 @@ class AdmissionController:
         quota_rate: float = 50.0,
         quota_burst: int = 100,
         metrics: MetricsRegistry | None = None,
-        telemetry: TelemetryRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_concurrent < 1:
@@ -146,10 +144,6 @@ class AdmissionController:
         self._c_admitted = registry.counter("server.admitted")
         self._c_quota = registry.counter("server.rejected.quota")
         self._c_overload = registry.counter("server.rejected.overload")
-        series = telemetry if telemetry is not None else get_telemetry()
-        #: Live admission levels, mirrored as gauges for ``/metrics``.
-        self._g_active = series.gauge("server.admission.active")
-        self._g_waiting = series.gauge("server.admission.waiting")
 
     def bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -176,20 +170,16 @@ class AdmissionController:
             self._c_overload.inc()
             raise Overloaded(self._waiting)
         self._waiting += 1
-        self._g_waiting.set(self._waiting)
         try:
             await self._semaphore.acquire()
         finally:
             self._waiting -= 1
-            self._g_waiting.set(self._waiting)
         self._active += 1
-        self._g_active.set(self._active)
         self._c_admitted.inc()
         try:
             yield
         finally:
             self._active -= 1
-            self._g_active.set(self._active)
             self._semaphore.release()
 
     def stats(self) -> dict[str, object]:

@@ -25,7 +25,7 @@ Endpoints (all JSON; see docs/SERVER.md for full schemas):
                            "database": "name"?}``
 ``GET /v1/healthz``        liveness + the registered databases
 ``GET /v1/stats``          admission/pool/cache/store/journal counters,
-                           per-tenant SLO burn rates, slow-log status
+                           per-tenant SLO breaches, slow-log status
 ``GET /metrics``           Prometheus text exposition (counters,
                            gauges, histograms; tenant/endpoint labels)
 =========================  ===========================================
@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+from bisect import bisect_left
 from typing import Any, Awaitable, Callable, Mapping
 
 from repro.errors import ReproError
@@ -68,7 +69,7 @@ from repro.obs.journal import JOURNAL, journal_context
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.telemetry import (
-    SloTracker,
+    DEFAULT_BUCKETS,
     TelemetryRegistry,
     get_telemetry,
     render_prometheus,
@@ -122,7 +123,6 @@ class ConstraintService:
             quota_rate=quota_rate,
             quota_burst=quota_burst,
             metrics=metrics,
-            telemetry=telemetry,
         )
         self.max_requests = max_requests
         self.requests_handled = 0
@@ -146,11 +146,19 @@ class ConstraintService:
         self.telemetry = (
             telemetry if telemetry is not None else get_telemetry()
         )
-        #: Per-tenant SLO burn-rate tracking; the latency objective
-        #: doubles as the slow-query capture threshold.
-        self.slo = SloTracker(
-            latency_ms=resolve_slo_latency_ms(self.config.slo_latency_ms)
+        #: The latency objective: a bucket bound of the request
+        #: histogram (so breaches read off it exactly) and the
+        #: slow-query capture threshold.
+        self.slo_latency_ms = resolve_slo_latency_ms(
+            self.config.slo_latency_ms
         )
+        self._slo_bound_s = self.slo_latency_ms / 1000.0
+        self._request_buckets = tuple(
+            sorted(set(DEFAULT_BUCKETS) | {self._slo_bound_s})
+        )
+        #: Requests inside :meth:`handle` right now (the event loop is
+        #: single-threaded, so a plain int is exact).
+        self.inflight_requests = 0
         slow_path = resolve_slow_log(self.config.slow_log)
         self.slow_log = (
             SlowQueryLog(slow_path) if slow_path is not None else None
@@ -182,63 +190,64 @@ class ConstraintService:
         )
         route = self._routes.get(request.path)
         started = time.perf_counter()
-        inflight = self.telemetry.gauge("server.inflight_requests")
-        with inflight.track(), journal_context(
-            request=request_id, tenant=tenant
-        ):
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "request.begin", id=request_id,
-                    method=request.method, path=request.path,
-                )
-            try:
-                if route is None:
-                    raise HttpError(
-                        404, "not_found", f"no route {request.path!r}"
+        self.inflight_requests += 1
+        try:
+            with journal_context(request=request_id, tenant=tenant):
+                if JOURNAL.enabled:
+                    JOURNAL.emit(
+                        "request.begin", id=request_id,
+                        method=request.method, path=request.path,
                     )
-                method, handler = route
-                if request.method != method:
-                    raise HttpError(
-                        405, "method_not_allowed",
-                        f"{request.path} accepts {method} only",
+                try:
+                    if route is None:
+                        raise HttpError(
+                            404, "not_found", f"no route {request.path!r}"
+                        )
+                    method, handler = route
+                    if request.method != method:
+                        raise HttpError(
+                            405, "method_not_allowed",
+                            f"{request.path} accepts {method} only",
+                        )
+                    response = await handler(request, request_id, tenant)
+                except AdmissionError as error:
+                    response = self._admission_response(error)
+                except HttpError as error:
+                    response = error.to_response()
+                except ReproError as error:
+                    response = Response(400, {"error": {
+                        "code": "invalid_query",
+                        "message": str(error),
+                        "request_id": request_id,
+                    }})
+                if response.status < 400:
+                    self._c_ok.inc()
+                elif response.status < 500:
+                    self._c_client_err.inc()
+                else:  # pragma: no cover - no 5xx path constructs here
+                    self._c_server_err.inc()
+                wall_s = time.perf_counter() - started
+                # The endpoint label comes from the route table, never
+                # the raw path — an unmatched path must not mint a new
+                # series.  This observation is the request's one record:
+                # SLO breaches are read off the same series.
+                labels = {
+                    "tenant": tenant,
+                    "endpoint": (
+                        request.path if route is not None else "unknown"
+                    ),
+                }
+                self.telemetry.histogram(
+                    "server.request_seconds", labels, self._request_buckets
+                ).observe(wall_s)
+                if JOURNAL.enabled:
+                    JOURNAL.emit(
+                        "request.end", id=request_id,
+                        status=response.status,
+                        wall_ms=round(wall_s * 1000, 3),
                     )
-                response = await handler(request, request_id, tenant)
-            except AdmissionError as error:
-                response = self._admission_response(error)
-            except HttpError as error:
-                response = error.to_response()
-            except ReproError as error:
-                response = Response(400, {"error": {
-                    "code": "invalid_query",
-                    "message": str(error),
-                    "request_id": request_id,
-                }})
-            if response.status < 400:
-                self._c_ok.inc()
-            elif response.status < 500:
-                self._c_client_err.inc()
-            else:  # pragma: no cover - no 5xx path constructs here
-                self._c_server_err.inc()
-            wall_s = time.perf_counter() - started
-            # The endpoint label comes from the route table, never the
-            # raw path — an unmatched path must not mint a new series.
-            labels = {
-                "tenant": tenant,
-                "endpoint": request.path if route is not None else "unknown",
-            }
-            self.telemetry.histogram(
-                "server.request_seconds", labels
-            ).observe(wall_s)
-            alert = self.slo.observe(
-                tenant, wall_s * 1000, error=response.status >= 500
-            )
-            if alert is not None and JOURNAL.enabled:
-                JOURNAL.emit("slo.burn", **alert)
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "request.end", id=request_id, status=response.status,
-                    wall_ms=round(wall_s * 1000, 3),
-                )
+        finally:
+            self.inflight_requests -= 1
         self.requests_handled += 1
         if (
             self.max_requests is not None
@@ -350,7 +359,7 @@ class ConstraintService:
                 "query.answered", id=request_id, database=name,
                 executor=executor, wall_ms=round(wall_ms, 3),
             )
-        if self.slow_log is not None and wall_ms >= self.slo.latency_ms:
+        if self.slow_log is not None and wall_ms >= self.slo_latency_ms:
             await self._capture_slow_query(
                 request_id, tenant, name, text, wall_ms
             )
@@ -393,22 +402,24 @@ class ConstraintService:
 
         Re-runs the query as ``EXPLAIN ANALYZE`` (serialised behind the
         explain lock — the tracer is process-global) so the record
-        carries the full plan tree with measured per-node costs.  The
-        capture is diagnostics: any failure is counted, never surfaced
-        to the client whose answer already succeeded.
+        carries the full plan tree with measured per-node costs.  It
+        runs on a fresh engine over the shared cache: the region
+        extension is warm, but the evaluator memo is empty, so the plan
+        shows what the query costs rather than a memo hit of the pooled
+        engine that just answered it.  The capture is diagnostics: any
+        failure is counted, never surfaced to the client whose answer
+        already succeeded.
         """
         try:
-            database = self.databases[name]
-            engine = self.pool.checkout(
-                database, self.decomposition, self.spatial_name
+            engine = QueryEngine(
+                self.databases[name],
+                self.decomposition,
+                self.spatial_name,
+                cache=self.pool.cache,
+                config=self.config,
             )
-            try:
-                async with self._explain_lock:
-                    result = await asyncio.to_thread(
-                        engine.explain, text, True
-                    )
-            finally:
-                self.pool.checkin(engine)
+            async with self._explain_lock:
+                result = await asyncio.to_thread(engine.explain, text, True)
             record = {
                 "ts": time.time(),
                 "request_id": request_id,
@@ -416,7 +427,7 @@ class ConstraintService:
                 "database": name,
                 "query": text,
                 "wall_ms": round(wall_ms, 3),
-                "threshold_ms": self.slo.latency_ms,
+                "threshold_ms": self.slo_latency_ms,
                 "explain": result.to_dict(),
             }
             await asyncio.to_thread(self.slow_log.record, record)
@@ -590,24 +601,61 @@ class ConstraintService:
                 "dropped": JOURNAL.dropped,
                 "sink": JOURNAL.sink_path,
             },
-            "slo": self.slo.stats(),
+            "slo": self._slo_stats(),
             "slow_log": {
                 "path": (
                     str(self.slow_log.path)
                     if self.slow_log is not None else None
                 ),
-                "threshold_ms": self.slo.latency_ms,
+                "threshold_ms": self.slo_latency_ms,
                 "records": self._registry.get("server.slow_queries"),
             },
             "metrics": self._registry.snapshot(),
         })
 
+    def _slo_stats(self) -> dict[str, Any]:
+        """Per-tenant requests and objective breaches, exact.
+
+        Read off ``server.request_seconds``: the objective is one of its
+        bucket bounds, so the requests slower than it are the series'
+        count minus its cumulative count at that bound.  Tenants past
+        the family cap share the unlabeled series, reported as ``"*"``.
+        A series minted first by another service on the same registry
+        with another objective lacks this bound; it is read at its
+        first bound above the objective, which can miss breaches.
+        """
+        tenants: dict[str, dict[str, int]] = {}
+        for series in self.telemetry.histograms():
+            if series.name != "server.request_seconds":
+                continue
+            cumulative = series.cumulative()
+            within = cumulative[bisect_left(series.buckets, self._slo_bound_s)]
+            tenant = dict(series.labels).get("tenant", "*")
+            entry = tenants.setdefault(tenant, {"requests": 0, "breaches": 0})
+            entry["requests"] += cumulative[-1]
+            entry["breaches"] += cumulative[-1] - within
+        return {
+            "objective": {"latency_ms": self.slo_latency_ms},
+            "tenants": tenants,
+        }
+
     async def _handle_metrics(
         self, request: Request, request_id: str, tenant: str
     ) -> Response:
-        """Prometheus text exposition of counters, gauges and histograms."""
+        """Prometheus text exposition of counters, gauges and histograms.
+
+        The gauges are read from live state at scrape time; the scrape
+        itself counts as one in-flight request.
+        """
+        admission = self.admission.stats()
         text = render_prometheus(
-            self._registry.snapshot(), self.telemetry
+            self._registry.snapshot(),
+            self.telemetry,
+            {
+                "server.inflight_requests": self.inflight_requests,
+                "server.admission.active": admission["active"],
+                "server.admission.waiting": admission["waiting"],
+            },
         )
         return Response(
             200,

@@ -20,6 +20,7 @@ from repro.config import (
     ENV_JOURNAL,
     ENV_LP_MODE,
     EngineConfig,
+    resolve_slo_latency_ms,
 )
 from repro.engine import DEFAULT_CACHE_CAPACITY
 
@@ -123,6 +124,15 @@ def test_validation_matches_engine_contract(clean_env):
     assert EngineConfig().jobs is None
     with pytest.raises(ValueError, match="cache_budget must be positive"):
         EngineConfig(cache_budget=-1)
+
+
+def test_slo_objective_must_be_positive(clean_env):
+    for latency in (0, -10.0):
+        with pytest.raises(ValueError, match="slo_latency_ms must be positive"):
+            EngineConfig(slo_latency_ms=latency)
+        with pytest.raises(ValueError, match="slo_latency_ms must be positive"):
+            resolve_slo_latency_ms(latency)
+    assert resolve_slo_latency_ms(10) == 10.0
 
 
 def _interval_db() -> ConstraintDatabase:

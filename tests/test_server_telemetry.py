@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -48,6 +49,21 @@ def _service(**kwargs) -> ConstraintService:
     kwargs.setdefault("metrics", MetricsRegistry())
     kwargs.setdefault("telemetry", TelemetryRegistry())
     return ConstraintService({"demo": _db()}, **kwargs)
+
+
+def _gauges(text: str) -> dict[str, float]:
+    """The gauge samples of a /metrics scrape, by metric name."""
+    names = {
+        line.split()[2]
+        for line in text.splitlines()
+        if line.startswith("# TYPE ") and line.endswith(" gauge")
+    }
+    samples = {}
+    for line in text.splitlines():
+        name, __, value = line.partition(" ")
+        if name in names:
+            samples[name] = float(value)
+    return samples
 
 
 class TestMetricsEndpoint:
@@ -107,21 +123,54 @@ class TestSloStats:
                                 b'{"query": "S(x0)"}'))
         response = _call(service, _request("GET", "/v1/stats"))
         slo = response.payload["slo"]
-        assert slo["objective"]["latency_ms"] == service.slo.latency_ms
+        assert slo["objective"]["latency_ms"] == service.slo_latency_ms
         tenants = slo["tenants"]
-        assert "public" in tenants
-        assert tenants["public"]["windows"]["300s"]["total"] >= 1
+        # The stats request itself is recorded once it has answered.
+        assert tenants["public"]["requests"] == 1
+        assert 0 <= tenants["public"]["breaches"] <= 1
 
     def test_breaches_counted_for_slow_requests(self):
         service = _service(
             config=EngineConfig(slo_latency_ms=0.0001)
         )
-        _call(service, _request("POST", "/v1/query",
-                                b'{"query": "S(x0)"}'))
+        for tenant in ("acme", "acme", "globex"):
+            _call(service, _request(
+                "POST", "/v1/query", b'{"query": "S(x0)"}',
+                headers={"x-repro-tenant": tenant},
+            ))
         response = _call(service, _request("GET", "/v1/stats"))
-        windows = response.payload["slo"]["tenants"]["public"]["windows"]
-        assert windows["300s"]["breaches"] >= 1
-        assert windows["300s"]["burn_rate"] > 1.0
+        tenants = response.payload["slo"]["tenants"]
+        assert tenants["acme"] == {"requests": 2, "breaches": 2}
+        assert tenants["globex"] == {"requests": 1, "breaches": 1}
+
+    def test_breaches_exact_at_objective_bound(self):
+        """The objective is a bucket bound: at it is good, past it is not."""
+        service = _service(config=EngineConfig(slo_latency_ms=60000.0))
+        _call(service, _request(
+            "GET", "/v1/healthz", headers={"x-repro-tenant": "acme"},
+        ))
+        series = service.telemetry.histogram(
+            "server.request_seconds",
+            {"tenant": "acme", "endpoint": "/v1/healthz"},
+        )
+        bound = 60.0
+        assert bound in series.buckets
+        for value in (
+            math.nextafter(bound, 0.0),
+            bound,
+            math.nextafter(bound, math.inf),
+            61.0,
+        ):
+            series.observe(value)
+        tenants = _call(
+            service, _request("GET", "/v1/stats")
+        ).payload["slo"]["tenants"]
+        assert tenants["acme"] == {"requests": 5, "breaches": 2}
+        text = _call(service, _request("GET", "/metrics")).text
+        assert (
+            'repro_server_request_seconds_bucket{endpoint="/v1/healthz",'
+            'tenant="acme",le="60"} 3'
+        ) in text
 
     def test_stats_slow_log_block_reflects_config(self, tmp_path):
         path = tmp_path / "slow.jsonl"
@@ -129,7 +178,7 @@ class TestSloStats:
         response = _call(service, _request("GET", "/v1/stats"))
         block = response.payload["slow_log"]
         assert block["path"] == str(path)
-        assert block["threshold_ms"] == service.slo.latency_ms
+        assert block["threshold_ms"] == service.slo_latency_ms
 
     def test_stats_slow_log_disabled_by_default(self):
         service = _service()
@@ -183,6 +232,16 @@ class TestSlowQueryCapture:
             totals["wall_ms"], abs=0.5
         )
 
+    def test_captured_plan_evaluates_the_query(self, tmp_path):
+        """The capture measures the query, not the answering engine's memo."""
+        service = self._slow_service(tmp_path)
+        _call(service, _request("POST", "/v1/query",
+                                b'{"query": "exists x. S(x) & x < 1"}'))
+        explain = load_slow_log(tmp_path / "slow.jsonl")[0]["explain"]
+        formula_node = explain["plan"]["children"][1]
+        assert formula_node["cost"]["calls"] >= 1
+        assert explain["totals"]["counters"]["evaluator.evaluations"] >= 1
+
     def test_fast_requests_are_not_captured(self, tmp_path):
         path = tmp_path / "slow.jsonl"
         service = _service(
@@ -213,16 +272,58 @@ class TestInflightGauge:
         service = _service()
         _call(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
-        gauge = service.telemetry.gauge("server.inflight_requests")
-        assert gauge.value == 0.0
+        assert service.inflight_requests == 0
+        text = _call(service, _request("GET", "/metrics")).text
+        # The scrape is the one request in flight while it renders.
+        assert _gauges(text)["repro_server_inflight_requests"] == 1
+        assert service.inflight_requests == 0
+
+    def test_count_returns_to_zero_when_handler_raises(self):
+        service = _service()
+
+        async def broken(request, request_id, tenant):
+            assert service.inflight_requests == 1
+            raise RuntimeError("boom")
+
+        service._routes["/v1/query"] = ("POST", broken)
+        with pytest.raises(RuntimeError):
+            _call(service, _request("POST", "/v1/query", b"{}"))
+        assert service.inflight_requests == 0
 
     def test_admission_gauges_exist_and_settle(self):
         service = _service()
         _call(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
-        assert service.telemetry.gauge(
-            "server.admission.active"
-        ).value == 0.0
-        assert service.telemetry.gauge(
-            "server.admission.waiting"
-        ).value == 0.0
+        text = _call(service, _request("GET", "/metrics")).text
+        assert "# TYPE repro_server_admission_active gauge" in text
+        assert "# TYPE repro_server_admission_waiting gauge" in text
+        gauges = _gauges(text)
+        assert gauges["repro_server_admission_active"] == 0
+        assert gauges["repro_server_admission_waiting"] == 0
+
+    def test_gauges_read_live_state_at_scrape_time(self):
+        service = _service(max_concurrent=1)
+
+        async def drive():
+            release = asyncio.Event()
+
+            async def occupant():
+                async with service.admission.admit("acme"):
+                    await release.wait()
+
+            holders = [asyncio.create_task(occupant()) for __ in range(2)]
+            for __ in range(3):
+                await asyncio.sleep(0)
+            response = await service.handle(_request("GET", "/metrics"))
+            stats = service.admission.stats()
+            release.set()
+            await asyncio.gather(*holders)
+            return response.text, stats
+
+        text, stats = asyncio.run(drive())
+        assert (stats["active"], stats["waiting"]) == (1, 1)
+        assert _gauges(text) == {
+            "repro_server_admission_active": stats["active"],
+            "repro_server_admission_waiting": stats["waiting"],
+            "repro_server_inflight_requests": 1,
+        }

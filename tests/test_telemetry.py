@@ -1,9 +1,10 @@
-"""The dimensional telemetry layer: histograms, gauges, labels, SLOs.
+"""The dimensional telemetry layer: histograms, labels, exposition.
 
 Covers the thread-safety contract (exact count/sum conservation under
-a 16-thread hammer), the label-cardinality guards, the Prometheus text exposition invariants
-(bucket monotonicity, ``+Inf`` equals ``_count``), the SLO burn-rate
-tracker and the slow-query log's bounded rotation.
+a 16-thread hammer), the label-cardinality guards, the Prometheus text
+exposition invariants (bucket monotonicity, ``+Inf`` equals ``_count``,
+gauges rendered from a plain mapping) and the slow-query log's bounded
+rotation.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from repro.obs.slowlog import SlowQueryLog, load_slow_log
 from repro.obs.telemetry import (
     DEFAULT_BUCKETS,
     MAX_SERIES_PER_NAME,
-    Gauge,
     Histogram,
-    SloTracker,
     TelemetryRegistry,
-    bucket_quantile,
     get_telemetry,
     quantile,
     render_prometheus,
@@ -47,25 +45,6 @@ class TestQuantile:
         assert quantile(values, 1.0) == 5.0
 
 
-class TestBucketQuantile:
-    def test_shape_is_checked(self):
-        with pytest.raises(ValueError):
-            bucket_quantile([1.0, 2.0], [1, 2], 0.5)
-
-    def test_empty_histogram_is_zero(self):
-        assert bucket_quantile([1.0, 2.0], [0, 0, 0], 0.5) == 0.0
-
-    def test_interpolates_inside_winning_bucket(self):
-        # 10 observations all landed in (1.0, 2.0]: the median sits
-        # halfway through that bucket.
-        estimate = bucket_quantile([1.0, 2.0, 4.0], [0, 10, 10, 10], 0.5)
-        assert estimate == pytest.approx(1.5)
-
-    def test_overflow_clamps_to_largest_finite_bound(self):
-        estimate = bucket_quantile([1.0, 2.0], [0, 0, 5], 0.99)
-        assert estimate == 2.0
-
-
 class TestHistogram:
     def test_count_and_sum_are_exact(self):
         histogram = Histogram("h")
@@ -73,20 +52,6 @@ class TestHistogram:
             histogram.observe(value)
         assert histogram.count == 3
         assert histogram.sum == pytest.approx(0.503)
-
-    def test_quantile_brackets_observations(self):
-        histogram = Histogram("h")
-        for __ in range(100):
-            histogram.observe(0.01)
-        p50 = histogram.quantile(0.5)
-        # 0.01 lands in the (0.0064, 0.0128] bucket.
-        assert 0.0064 <= p50 <= 0.0128
-
-    def test_percentiles_trio(self):
-        histogram = Histogram("h")
-        histogram.observe(0.001)
-        trio = histogram.percentiles()
-        assert set(trio) == {"p50", "p90", "p99"}
 
     def test_time_context_manager_observes_once(self):
         histogram = Histogram("h")
@@ -141,47 +106,11 @@ class TestHistogram:
         assert histogram.cumulative()[-1] == histogram.count
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("g")
-        gauge.set(5.0)
-        gauge.inc(2.0)
-        gauge.dec()
-        assert gauge.value == 6.0
-
-    def test_track_decrements_on_exception(self):
-        gauge = Gauge("g")
-        with pytest.raises(RuntimeError):
-            with gauge.track():
-                assert gauge.value == 1.0
-                raise RuntimeError("boom")
-        assert gauge.value == 0.0
-
-    def test_threaded_hammer_conserves_level(self):
-        gauge = Gauge("g")
-        threads, per_thread = 16, 1000
-
-        def hammer() -> None:
-            for __ in range(per_thread):
-                gauge.inc()
-                gauge.dec()
-            gauge.inc(3.0)
-
-        workers = [
-            threading.Thread(target=hammer) for __ in range(threads)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert gauge.value == pytest.approx(3.0 * threads)
-
-
 class TestRegistry:
     def test_create_on_first_use_and_identity(self):
         registry = TelemetryRegistry()
         assert registry.histogram("h") is registry.histogram("h")
-        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.histogram("g") is registry.histogram("g")
         assert len(registry) == 2
 
     def test_labeled_series_are_distinct(self):
@@ -213,20 +142,22 @@ class TestRegistry:
         registry = TelemetryRegistry()
         histogram = registry.histogram("h")
         histogram.observe(1.0)
-        registry.gauge("g").set(4.0)
+        labeled = registry.histogram("h", {"tenant": "acme"})
+        labeled.observe(4.0)
         registry.reset()
         assert histogram.count == 0
-        assert registry.gauge("g").value == 0.0
+        assert labeled.count == 0 and labeled.sum == 0.0
         assert len(registry) == 2  # identities survive
+        assert registry.histogram("h", {"tenant": "acme"}) is labeled
 
 
 class TestProcessWideHelpers:
     def test_reset_all_clears_telemetry(self):
         get_telemetry().histogram("h").observe(1.0)
-        get_telemetry().gauge("g").set(2.0)
+        get_telemetry().histogram("g", {"tenant": "acme"}).observe(2.0)
         reset_all()
         assert get_telemetry().histogram("h").count == 0
-        assert get_telemetry().gauge("g").value == 0.0
+        assert get_telemetry().histogram("g", {"tenant": "acme"}).count == 0
 
     def test_reset_telemetry_alone(self):
         get_telemetry().histogram("h").observe(1.0)
@@ -268,86 +199,30 @@ class TestRenderPrometheus:
             "server.request_seconds",
             {"tenant": "acme", "endpoint": "/v1/query"},
         ).observe(0.01)
-        registry.gauge("server.inflight_requests").set(2)
-        text = render_prometheus({}, registry)
+        text = render_prometheus(
+            {}, registry, {"server.inflight_requests": 2}
+        )
         assert 'endpoint="/v1/query"' in text
         assert 'tenant="acme"' in text
         assert "# TYPE repro_server_inflight_requests gauge" in text
+        assert "\nrepro_server_inflight_requests 2\n" in text
 
     def test_label_values_are_escaped(self):
         registry = TelemetryRegistry()
-        registry.gauge("g", {"tenant": 'a"b\\c\nd'}).set(1)
+        registry.histogram("h", {"tenant": 'a"b\\c\nd'}).observe(1.0)
         text = render_prometheus({}, registry)
-        assert 'tenant="a\\"b\\\\c\\nd"' in text
+        assert 'repro_h_count{tenant="a\\"b\\\\c\\nd"} 1' in text
+        assert 'repro_h_bucket{tenant="a\\"b\\\\c\\nd",le="+Inf"} 1' \
+            in text
 
     def test_output_is_diff_stable(self):
         registry = TelemetryRegistry()
         registry.histogram("b").observe(0.1)
-        registry.gauge("a").set(1)
-        assert render_prometheus({"z": 1}, registry) == render_prometheus(
-            {"z": 1}, registry
-        )
-
-
-class TestSloTracker:
-    def _tracker(self, **kwargs):
-        clock = {"now": 0.0}
-
-        def advance(seconds: float) -> None:
-            clock["now"] += seconds
-
-        tracker = SloTracker(
-            latency_ms=100.0, clock=lambda: clock["now"], **kwargs
-        )
-        return tracker, advance
-
-    def test_good_requests_never_alert(self):
-        tracker, __ = self._tracker()
-        for __pass in range(50):
-            assert tracker.observe("acme", 10.0) is None
-
-    def test_burn_alert_is_edge_triggered(self):
-        tracker, advance = self._tracker()
-        alerts = []
-        for __ in range(10):
-            alert = tracker.observe("acme", 500.0)
-            if alert is not None:
-                alerts.append(alert)
-            advance(1.0)
-        assert len(alerts) == 1, "one alert per burn episode, not per event"
-        assert alerts[0]["tenant"] == "acme"
-        assert alerts[0]["burn_rate"] > 1.0
-
-    def test_errors_breach_even_when_fast(self):
-        tracker, __ = self._tracker()
-        alert = tracker.observe("acme", 1.0, error=True)
-        assert alert is not None
-
-    def test_stats_shape_and_windows(self):
-        tracker, advance = self._tracker()
-        tracker.observe("acme", 500.0)
-        tracker.observe("acme", 10.0)
-        advance(1.0)
-        stats = tracker.stats()
-        assert stats["objective"]["latency_ms"] == 100.0
-        windows = stats["tenants"]["acme"]["windows"]
-        assert windows["300s"]["total"] == 2
-        assert windows["300s"]["breaches"] == 1
-        assert windows["3600s"]["burn_rate"] > 0
-
-    def test_old_events_age_out(self):
-        tracker, advance = self._tracker()
-        tracker.observe("acme", 500.0)
-        advance(4000.0)  # beyond the long window
-        tracker.observe("acme", 10.0)
-        windows = tracker.stats()["tenants"]["acme"]["windows"]
-        assert windows["3600s"]["breaches"] == 0
-
-    def test_invalid_objectives_rejected(self):
-        with pytest.raises(ValueError):
-            SloTracker(latency_ms=0)
-        with pytest.raises(ValueError):
-            SloTracker(latency_ms=10, target=1.0)
+        registry.histogram("a", {"tenant": "acme"}).observe(0.2)
+        gauges = {"y": 1, "x": 0.5}
+        text = render_prometheus({"z": 1}, registry, gauges)
+        assert text == render_prometheus({"z": 1}, registry, dict(gauges))
+        assert text.index("repro_x 0.5") < text.index("repro_y 1")
 
 
 class TestSlowQueryLog:
