@@ -17,8 +17,8 @@ Fast path
 ---------
 
 Exact simplex solves dominate the DFS, so the enumerator works hard to
-avoid them (all three prunings are exact — they never change the face
-set, only who pays for the feasibility certificate):
+avoid them (all four fast paths are exact — they never change the
+face set, only who pays for the feasibility certificate):
 
 * **witness reuse** — the parent prefix carries a rational witness point;
   its side of the next hyperplane decides one child branch for free.
@@ -31,6 +31,13 @@ set, only who pays for the feasibility certificate):
 * **system dedup** — candidate systems are normalised (sorted, duplicate
   rows removed) and memoised per build, so repeated hyperplane multiples
   and recurring subsystems hit a dictionary instead of the solver.
+* **interval search** — when every plane is axis-parallel (``x_i = c``,
+  one non-zero normal coefficient), a node's system is a box: each
+  branch carries per-variable bounds, and a child tightens one of them.
+  Feasibility and the witness the LP would return are bound comparisons
+  (:func:`~repro.geometry.simplex.interval_point` per variable), and
+  witness reuse and derived witnesses read the same bounds.  No LP, no
+  system copy, no memo; the faces and witnesses are the LP path's.
 
 ``witness_reuse=False`` / ``dedup=False`` select the naive baseline that
 the E2 equivalence run (``repro bench e2``) checks against.
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.store.disk import DiskStore
@@ -50,7 +57,14 @@ from repro.errors import GeometryError
 from repro.geometry.fourier_motzkin import LinearConstraint
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.linalg import Vector
-from repro.geometry.simplex import strict_feasible_point
+from repro.geometry.simplex import (
+    FREE_INTERVAL,
+    Interval,
+    interval_contains,
+    interval_point,
+    strict_feasible_point,
+    tighten_interval,
+)
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.constraints.relation import ConstraintRelation
@@ -209,6 +223,92 @@ def _satisfies(
     return all(row.satisfied_by(point) for row in system)
 
 
+def _step_within(
+    bounds: Sequence[Interval], anchor: Vector, inside: Vector
+) -> Vector:
+    """:func:`_step_beyond` over per-variable bounds.
+
+    A row on one coordinate has the ratio ``slack / growth`` equal to
+    ``(bound - anchor_i) / (anchor_i - inside_i)`` (its coefficient
+    cancels), so the tightest row on a coordinate is its tightest bound
+    on the side ``anchor`` moves towards: the same ``t``, the same
+    point.  (Sign-condition rows are
+    strict or equalities, so no bound is tight at ``anchor``, and a
+    pinned coordinate does not move.)
+    """
+    t = Fraction(1)
+    for (lower, __, upper, __, __), a, i in zip(bounds, anchor, inside):
+        growth = a - i
+        if growth > 0 and upper is not None:
+            bound = (upper - a) / growth
+        elif growth < 0 and lower is not None:
+            bound = (lower - a) / growth
+        else:
+            continue
+        if bound < t:
+            t = bound
+    t = t / 2
+    return tuple(
+        a + t * (a - i) for a, i in zip(anchor, inside)
+    )
+
+
+def _branch(
+    witness_sign: int,
+    witness: Vector,
+    solve: Callable[[int], Vector | None],
+    step: Callable[[Vector, Vector], Vector],
+    holds: Callable[[int, Vector], bool],
+) -> dict[int, Vector | None]:
+    """Witness (or None) for each sign of the next plane, with reuse.
+
+    ``witness`` lies on the ``witness_sign`` side, which it decides for
+    free.  ``solve(sign)`` is the feasibility solve of one child,
+    ``step(anchor, inside)`` a step past ``anchor`` that stays in the
+    parent region, and ``holds(sign, point)`` checks a point against a
+    child's system.  Both search paths share this rule, so they make
+    the same choices and keep the same witnesses.
+    """
+    result: dict[int, Vector | None] = {witness_sign: witness}
+    _LP_SKIPPED.inc()
+
+    def derive(sign: int, anchor: Vector, inside: Vector) -> Vector | None:
+        derived = step(anchor, inside)
+        if holds(sign, derived):
+            _LP_SKIPPED.inc()
+            return derived
+        return solve(sign)  # pragma: no cover - the step length is exact
+
+    if witness_sign == 0:
+        # Witness on the plane: solve one open side; a hit yields the
+        # other side by stepping through the witness.
+        above = solve(1)
+        result[1] = above
+        result[-1] = (
+            solve(-1) if above is None else derive(-1, witness, above)
+        )
+        return result
+    # Witness strictly on one side: the parent region is convex, so
+    # it meets the opposite open side iff it meets the plane — and a
+    # point on the plane yields the opposite-side witness by a
+    # rational step, no second solve.
+    on_plane = solve(0)
+    result[0] = on_plane
+    opposite = -witness_sign
+    if on_plane is None:
+        result[opposite] = None
+        _LP_SKIPPED.inc()
+    else:
+        result[opposite] = derive(opposite, on_plane, witness)
+    return result
+
+
+def _axes_of(hyperplanes: Sequence[Hyperplane]) -> list[int] | None:
+    """Each plane's axis when every plane is ``x_i = c``, else ``None``."""
+    axes = [plane.axis for plane in hyperplanes]
+    return None if None in axes else axes
+
+
 def enumerate_sign_vectors(
     hyperplanes: Sequence[Hyperplane],
     dimension: int,
@@ -225,15 +325,41 @@ def enumerate_sign_vectors(
     the module docstring) skip most LP solves; with ``dedup`` normalised
     candidate systems are memoised per enumeration.  Both flags exist so
     ``repro bench e2`` can run the naive baseline; disabling them never
-    changes the yielded faces or their order.
+    changes the yielded faces or their order.  When every plane is
+    axis-parallel the fast path runs on per-variable bounds instead
+    (:func:`_enumerate_on_axes`), with the same faces and witnesses.
 
     ``prefix`` / ``prefix_witness`` seed the DFS at a feasible partial
     sign vector (the seeded enumeration equals the contiguous slice of
     the full enumeration below that prefix).  A seeded run does not
     count the seed node itself in ``arrangement.dfs_nodes``.
     """
-    n = len(hyperplanes)
+    if prefix and prefix_witness is None:
+        raise GeometryError("a seeded prefix needs its witness point")
     rows = [_plane_rows(plane) for plane in hyperplanes]
+    if witness_reuse and dedup:
+        axes = _axes_of(hyperplanes)
+        if axes is not None:
+            return _enumerate_on_axes(
+                hyperplanes, rows, axes, dimension, prefix, prefix_witness
+            )
+    return _enumerate_with_lp(
+        hyperplanes, rows, dimension, witness_reuse, dedup, prefix,
+        prefix_witness,
+    )
+
+
+def _enumerate_with_lp(
+    hyperplanes: Sequence[Hyperplane],
+    rows: list[dict[int, LinearConstraint]],
+    dimension: int,
+    witness_reuse: bool,
+    dedup: bool,
+    prefix: SignVector,
+    prefix_witness: Vector | None,
+) -> Iterator[tuple[SignVector, Vector]]:
+    """The search for general planes: each node's system, solved by LP."""
+    n = len(hyperplanes)
     memo: dict[frozenset, Vector | None] = {}
 
     def solve(
@@ -256,50 +382,21 @@ def enumerate_sign_vectors(
         level: int,
     ) -> dict[int, Vector | None]:
         """Feasibility witness (or None) for each sign of the next plane."""
-        plane = hyperplanes[level]
         plane_rows = rows[level]
         if not witness_reuse:
             return {
                 sign: solve(system + [plane_rows[sign]])
                 for sign in (-1, 0, 1)
             }
-        result: dict[int, Vector | None] = {}
-        witness_sign = int(plane.side_of(witness))
-        result[witness_sign] = witness
-        _LP_SKIPPED.inc()
-        if witness_sign == 0:
-            # Witness on the plane: solve one open side; a hit yields the
-            # other side by stepping through the witness.
-            above = solve(system + [plane_rows[1]])
-            result[1] = above
-            if above is not None:
-                derived = _step_beyond(system, witness, above)
-                if _satisfies(system + [plane_rows[-1]], derived):
-                    result[-1] = derived
-                    _LP_SKIPPED.inc()
-                else:  # pragma: no cover - the step length is exact
-                    result[-1] = solve(system + [plane_rows[-1]])
-            else:
-                result[-1] = solve(system + [plane_rows[-1]])
-            return result
-        # Witness strictly on one side: the parent region is convex, so
-        # it meets the opposite open side iff it meets the plane — and a
-        # point on the plane yields the opposite-side witness by a
-        # rational step, no second LP.
-        on_plane = solve(system + [plane_rows[0]])
-        result[0] = on_plane
-        opposite = -witness_sign
-        if on_plane is None:
-            result[opposite] = None
-            _LP_SKIPPED.inc()
-        else:
-            derived = _step_beyond(system, on_plane, witness)
-            if _satisfies(system + [plane_rows[opposite]], derived):
-                result[opposite] = derived
-                _LP_SKIPPED.inc()
-            else:  # pragma: no cover - the step length is exact
-                result[opposite] = solve(system + [plane_rows[opposite]])
-        return result
+        return _branch(
+            int(hyperplanes[level].side_of(witness)),
+            witness,
+            solve=lambda sign: solve(system + [plane_rows[sign]]),
+            step=lambda anchor, inside: _step_beyond(system, anchor, inside),
+            holds=lambda sign, point: _satisfies(
+                system + [plane_rows[sign]], point
+            ),
+        )
 
     def extend(
         prefix: list[int],
@@ -325,8 +422,6 @@ def enumerate_sign_vectors(
             prefix.pop()
 
     if prefix:
-        if prefix_witness is None:
-            raise GeometryError("a seeded prefix needs its witness point")
         base_system = [rows[i][sign] for i, sign in enumerate(prefix)]
         yield from extend(
             list(prefix), base_system, prefix_witness, seeded=True
@@ -334,6 +429,99 @@ def enumerate_sign_vectors(
         return
     origin: Vector = (Fraction(0),) * dimension
     yield from extend([], [], origin)
+
+
+def _enumerate_on_axes(
+    hyperplanes: Sequence[Hyperplane],
+    rows: list[dict[int, LinearConstraint]],
+    axes: list[int],
+    dimension: int,
+    prefix: SignVector,
+    prefix_witness: Vector | None,
+) -> Iterator[tuple[SignVector, Vector]]:
+    """The search when every plane is ``x_i = c``: no LP.
+
+    Each branch carries its system as per-variable bounds and the point
+    :func:`strict_feasible_point` would return for it: one
+    :func:`~repro.geometry.simplex.interval_point` per variable, 0 for
+    a variable with no rows.  A child tightens one variable by the rule
+    of :func:`~repro.geometry.simplex.tighten_interval`, the rule the
+    LP path's interval solve folds its rows with, so every solve,
+    derived witness and check reads what the LP path would.
+    """
+    n = len(hyperplanes)
+    # Each sign row as (coefficient on its axis, relation, rhs).
+    terms = [
+        {sign: (row.coeffs[axis], row.rel, row.rhs)
+         for sign, row in plane_rows.items()}
+        for plane_rows, axis in zip(rows, axes)
+    ]
+
+    def extend(
+        signs: list[int],
+        bounds: tuple[Interval, ...],
+        point: Vector,
+        witness: Vector,
+        seeded: bool = False,
+    ) -> Iterator[tuple[SignVector, Vector]]:
+        if not seeded:
+            _DFS_NODES.inc()
+        if len(signs) == n:
+            yield tuple(signs), witness
+            return
+        level = len(signs)
+        axis = axes[level]
+        child_bounds: dict[int, tuple[Interval, ...]] = {}
+        child_point: dict[int, Vector] = {}
+        for sign in (-1, 0, 1):
+            interval = tighten_interval(bounds[axis], *terms[level][sign])
+            if interval is None:
+                continue
+            value = interval_point(*interval)
+            if value is None:
+                continue
+            child_bounds[sign] = (
+                bounds[:axis] + (interval,) + bounds[axis + 1:]
+            )
+            child_point[sign] = point[:axis] + (value,) + point[axis + 1:]
+        branch = _branch(
+            int(hyperplanes[level].side_of(witness)),
+            witness,
+            solve=child_point.get,
+            step=lambda anchor, inside: _step_within(bounds, anchor, inside),
+            holds=lambda sign, candidate: sign in child_bounds and all(
+                interval_contains(interval, value)
+                for interval, value in zip(child_bounds[sign], candidate)
+            ),
+        )
+        for sign in (-1, 0, 1):
+            child_witness = branch[sign]
+            if child_witness is None:
+                continue
+            signs.append(sign)
+            yield from extend(
+                signs, child_bounds[sign], child_point[sign], child_witness
+            )
+            signs.pop()
+
+    bounds: list[Interval | None] = [FREE_INTERVAL] * dimension
+    for level, sign in enumerate(prefix):
+        axis = axes[level]
+        if bounds[axis] is not None:
+            bounds[axis] = tighten_interval(
+                bounds[axis], *terms[level][sign]
+            )
+    values = [
+        None if interval is None else interval_point(*interval)
+        for interval in bounds
+    ]
+    if None in values:
+        raise GeometryError("the seeded prefix is infeasible")
+    witness = prefix_witness if prefix else tuple(values)
+    yield from extend(
+        list(prefix), tuple(bounds), tuple(values), witness,
+        seeded=bool(prefix),
+    )
 
 
 def _resolve_planes(

@@ -120,13 +120,15 @@ def face_dimension(
 
     A face is the relative interior of the flat cut out by its sign-0
     hyperplanes intersected with open halfspaces, so its affine support is
-    that flat.
+    that flat.  When every sign-0 plane is axis-parallel the rank is the
+    number of distinct axes, with no elimination.
     """
-    normals = [
-        list(plane.normal)
-        for plane, sign in zip(hyperplanes, signs)
-        if sign == 0
+    planes = [
+        plane for plane, sign in zip(hyperplanes, signs) if sign == 0
     ]
-    if not normals:
+    if not planes:
         return ambient
-    return ambient - matrix_rank(normals)
+    axes = {plane.axis for plane in planes}
+    if None not in axes:
+        return ambient - len(axes)
+    return ambient - matrix_rank([list(plane.normal) for plane in planes])

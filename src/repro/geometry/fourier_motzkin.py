@@ -111,9 +111,18 @@ class LinearConstraint(HashOnce):
             return value < self.rhs
         return value == self.rhs
 
+    def support(self) -> tuple[int, ...]:
+        """Indices of the non-zero coefficients, cached like
+        :meth:`integer_form`."""
+        cached = self.__dict__.get("_support")
+        if cached is None:
+            cached = tuple(i for i, c in enumerate(self.coeffs) if c)
+            object.__setattr__(self, "_support", cached)
+        return cached
+
     def is_trivial(self) -> bool:
         """True iff the constraint has all-zero coefficients."""
-        return all(c == 0 for c in self.coeffs)
+        return not self.support()
 
     def trivially_true(self) -> bool:
         """For all-zero coefficients: does ``0 REL rhs`` hold?"""

@@ -87,6 +87,13 @@ class Hyperplane(HashOnce):
         """Ambient dimension d of the space the hyperplane lives in."""
         return len(self.normal)
 
+    @property
+    def axis(self) -> int | None:
+        """The coordinate ``i`` when the plane is ``x_i = c`` (exactly one
+        non-zero normal coefficient), else ``None``."""
+        support = [i for i, c in enumerate(self.normal) if c]
+        return support[0] if len(support) == 1 else None
+
     def side_of(self, point: Sequence[Fraction]) -> Side:
         """The paper's position function: +1 above, 0 on, -1 below."""
         value = vec_dot(self.normal, point)

@@ -256,6 +256,57 @@ def _with_epsilon(constraints: Sequence[LinearConstraint]) -> list[LinearConstra
     return widened
 
 
+#: One variable's bounds: ``(lower, lower_strict, upper, upper_strict,
+#: pinned)``, ``None`` for an absent bound or pin.
+Interval = tuple[
+    Fraction | None, bool, Fraction | None, bool, Fraction | None
+]
+#: The bounds of a variable no row mentions.
+FREE_INTERVAL: Interval = (None, False, None, False, None)
+
+
+def tighten_interval(
+    interval: Interval, a: Fraction, rel: Rel, rhs: Fraction
+) -> Interval | None:
+    """``interval`` conjoined with the row ``a·x REL rhs`` (``a ≠ 0``).
+
+    The row is a pin (``=``) or a bound at ``rhs / a``.  The tighter
+    bound wins, and on a tie the strict one; a pin that conflicts with
+    an earlier pin makes the system empty (``None``).  Pins are not
+    checked against bounds here: :func:`interval_point` does that.  The
+    fold is order-independent, so any row order gives the same bounds.
+    """
+    lower, lower_strict, upper, upper_strict, pinned = interval
+    bound = rhs / a
+    if rel is Rel.EQ:
+        if pinned is not None and pinned != bound:
+            return None
+        return (lower, lower_strict, upper, upper_strict, bound)
+    strict = rel is Rel.LT
+    if a > 0:  # x <=(<) bound
+        if upper is None or bound < upper or (bound == upper and strict):
+            return (lower, lower_strict, bound, strict, pinned)
+        return interval
+    # x >=(>) bound
+    if lower is None or bound > lower or (bound == lower and strict):
+        return (bound, strict, upper, upper_strict, pinned)
+    return interval
+
+
+def interval_contains(interval: Interval, value: Fraction) -> bool:
+    """Does ``value`` satisfy every bound and the pin of ``interval``?"""
+    lower, lower_strict, upper, upper_strict, pinned = interval
+    if pinned is not None and value != pinned:
+        return False
+    if lower is not None and (
+        value < lower or (value == lower and lower_strict)
+    ):
+        return False
+    return upper is None or not (
+        value > upper or (value == upper and upper_strict)
+    )
+
+
 def _solve_interval(
     constraints: tuple[LinearConstraint, ...]
 ) -> Vector | None:
@@ -266,35 +317,17 @@ def _solve_interval(
     hot path: component decomposition reduces most sign-vector and DNF
     feasibility checks to single-variable subsystems.
     """
-    lower: Fraction | None = None
-    lower_strict = False
-    upper: Fraction | None = None
-    upper_strict = False
-    pinned: Fraction | None = None
+    interval: Interval | None = FREE_INTERVAL
     for row in constraints:
         a = row.coeffs[0]
         if a == 0:
             if not row.satisfied_by((ZERO,)):
                 return None
             continue
-        bound = row.rhs / a
-        if row.rel is Rel.EQ:
-            if pinned is not None and pinned != bound:
-                return None
-            pinned = bound
-        elif a > 0:  # x <=(<) bound
-            if upper is None or bound < upper or (
-                bound == upper and row.rel is Rel.LT
-            ):
-                upper = bound
-                upper_strict = row.rel is Rel.LT
-        else:  # x >=(>) bound
-            if lower is None or bound > lower or (
-                bound == lower and row.rel is Rel.LT
-            ):
-                lower = bound
-                lower_strict = row.rel is Rel.LT
-    point = interval_point(lower, lower_strict, upper, upper_strict, pinned)
+        interval = tighten_interval(interval, a, row.rel, row.rhs)
+        if interval is None:
+            return None
+    point = interval_point(*interval)
     return None if point is None else (point,)
 
 
@@ -468,7 +501,7 @@ def _variable_components(
         return i
 
     for constraint in constraints:
-        support = [i for i, c in enumerate(constraint.coeffs) if c != 0]
+        support = constraint.support()
         for a, b in zip(support, support[1:]):
             parent[find(a)] = find(b)
     groups: dict[int, list[int]] = {}
@@ -498,20 +531,31 @@ def strict_feasible_point(
             raise LPError("dimension required for an empty system")
         return (ZERO,) * dimension
     dim = constraints[0].dimension
-    trivial_rows = [c for c in constraints if c.is_trivial()]
-    for row in trivial_rows:
-        if row.trivially_false():
+    live: list[LinearConstraint] = []
+    for c in constraints:
+        if c.support():
+            live.append(c)
+        elif c.trivially_false():
             return None
-    live = [c for c in constraints if not c.is_trivial()]
     if not live:
         return (ZERO,) * dim
     components = _variable_components(live, dim)
+    if len(components) == 1:
+        # One component over every variable: projecting onto it would
+        # rebuild equal rows, so key the solve on the originals.
+        live.sort(key=_row_order)
+        witness = _solve_component(tuple(live), dim)
+        return None if witness is None else tuple(witness)
+    owner = {
+        index: position
+        for position, component in enumerate(components)
+        for index in component
+    }
+    grouped: list[list[LinearConstraint]] = [[] for __ in components]
+    for c in live:
+        grouped[owner[c.support()[0]]].append(c)
     point: list[Fraction] = [ZERO] * dim
-    for component in components:
-        rows = [
-            c for c in live
-            if any(c.coeffs[i] != 0 for i in component)
-        ]
+    for component, rows in zip(components, grouped):
         if not rows:
             continue
         projected = [
@@ -520,14 +564,18 @@ def strict_feasible_point(
             )
             for c in rows
         ]
-        projected.sort(key=lambda c: (c.coeffs, c.rel.value, c.rhs))
-        reduced = tuple(projected)
-        witness = _solve_component(reduced, len(component))
+        projected.sort(key=_row_order)
+        witness = _solve_component(tuple(projected), len(component))
         if witness is None:
             return None
         for local, global_index in enumerate(component):
             point[global_index] = witness[local]
     return tuple(point)
+
+
+def _row_order(row: LinearConstraint) -> tuple:
+    """The sort key that makes a component's rows a canonical memo key."""
+    return (row.coeffs, row.rel.value, row.rhs)
 
 
 def feasible(

@@ -104,15 +104,10 @@ def _plane_bound_info(plane):
     ``None`` for planes over several variables; those contribute nothing
     to interval boxes (the box stays a sound over-approximation).
     """
-    index = None
-    coeff = None
-    for position, value in enumerate(plane.normal):
-        if value:
-            if index is not None:
-                return None
-            index, coeff = position, value
+    index = plane.axis
     if index is None:
         return None
+    coeff = plane.normal[index]
     return (index, plane.offset / coeff, coeff > 0)
 
 

@@ -163,6 +163,9 @@ class ConstraintService:
         self.slow_log = (
             SlowQueryLog(slow_path) if slow_path is not None else None
         )
+        #: Slow-query captures still running; they are off the response
+        #: path, and :meth:`drain_captures` awaits them.
+        self._captures: set[asyncio.Task] = set()
         self._c_requests = registry.counter("server.requests")
         self._c_ok = registry.counter("server.responses.ok")
         self._c_client_err = registry.counter("server.responses.client_error")
@@ -276,6 +279,11 @@ class ConstraintService:
         """Ask :func:`serve` to exit after in-flight work completes."""
         self.shutdown.set()
 
+    async def drain_captures(self) -> None:
+        """Wait until every slow-query capture started so far is written."""
+        while self._captures:
+            await asyncio.gather(*self._captures, return_exceptions=True)
+
     # ------------------------------------------------------------------
     # Shared request plumbing
     # ------------------------------------------------------------------
@@ -360,9 +368,11 @@ class ConstraintService:
                 executor=executor, wall_ms=round(wall_ms, 3),
             )
         if self.slow_log is not None and wall_ms >= self.slo_latency_ms:
-            await self._capture_slow_query(
+            capture = asyncio.ensure_future(self._capture_slow_query(
                 request_id, tenant, name, text, wall_ms
-            )
+            ))
+            self._captures.add(capture)
+            capture.add_done_callback(self._captures.discard)
         payload: dict[str, Any] = {
             "request_id": request_id,
             "database": name,
@@ -400,9 +410,11 @@ class ConstraintService:
     ) -> None:
         """Append an EXPLAIN ANALYZE record for a threshold-crossing query.
 
-        Re-runs the query as ``EXPLAIN ANALYZE`` (serialised behind the
-        explain lock — the tracer is process-global) so the record
-        carries the full plan tree with measured per-node costs.  It
+        Runs as a task the service keeps (:meth:`drain_captures`), so
+        the response does not wait for it.  Re-runs the query as
+        ``EXPLAIN ANALYZE`` (serialised behind the explain lock — the
+        tracer is process-global) so the record carries the full plan
+        tree with measured per-node costs.  It
         runs on a fresh engine over the shared cache: the region
         extension is warm, but the evaluator memo is empty, so the plan
         shows what the query costs rather than a memo hit of the pooled
@@ -675,7 +687,9 @@ async def serve(
     """Run the service until its shutdown event fires.
 
     ``announce`` is called with the started :class:`HttpServer` (the
-    CLI prints the bound address; tests read the ephemeral port).
+    CLI prints the bound address; tests read the ephemeral port).  On
+    shutdown the slow-query captures still running are awaited, so
+    their records are in the log when this returns.
     """
     server = HttpServer(service.handle, host, port)
     await server.start()
@@ -685,3 +699,4 @@ async def serve(
         await service.shutdown.wait()
     finally:
         await server.close()
+        await service.drain_captures()

@@ -75,10 +75,12 @@ class TestWitnessReuse:
 class TestSystemDedup:
     def test_duplicate_hyperplanes_hit_the_memo(self):
         registry = get_registry()
-        plane = Hyperplane.make([1], 0)
+        # A diagonal plane: axis-parallel planes take the interval
+        # search, which has no memo.
+        plane = Hyperplane.make([1, 1], 0)
         before = registry.get("arrangement.dedup_hits")
         arrangement = build_arrangement(
-            hyperplanes=[plane, plane], dimension=1
+            hyperplanes=[plane, plane], dimension=2
         )
         assert registry.get("arrangement.dedup_hits") > before
         # Coincident planes: only the concordant sign vectors survive.

@@ -155,8 +155,10 @@ class TestInstrumentation:
     def test_lp_counters_move(self):
         registry = get_registry()
         reset_metrics("lp.")
+        # The diagonal plane x0 = x1 keeps the build on the LP path
+        # (axis-parallel planes alone take the LP-free interval search).
         database = ConstraintDatabase.from_formula(
-            parse_formula("0 < x0 & x0 < 1"), 1
+            parse_formula("0 < x0 & x0 < x1 & x1 < 1"), 2
         )
         RegionExtension.build(database)
         stats = registry.snapshot("lp.")

@@ -53,6 +53,19 @@ def one_dim_database() -> ConstraintDatabase:
     })
 
 
+def two_triangles_database() -> ConstraintDatabase:
+    """Two separated triangles.  Their diagonal planes keep the build
+    on the LP path (axis-parallel planes take the interval search)."""
+    return ConstraintDatabase.make({
+        "S": ConstraintRelation.make(
+            ("x0", "x1"),
+            parse_formula(
+                "(0 < x0 & x0 < x1 & x1 < 1) | (2 < x0 & x0 < x1 & x1 < 3)"
+            ),
+        )
+    })
+
+
 def self_counter_sums(plan: PlanNode) -> dict:
     sums: dict = {}
     for node in plan.walk():
@@ -156,10 +169,10 @@ class TestAnalyze:
 
     def test_connectivity_lfp_analyze(self, cache):
         """The E4 connectivity query: stages, costs, and exact sums."""
-        query = connectivity_query_lfp(1)
-        engine = QueryEngine(one_dim_database(), cache=cache)
+        query = connectivity_query_lfp(2)
+        engine = QueryEngine(two_triangles_database(), cache=cache)
         result = engine.explain(query, analyze=True)
-        # Two separated intervals are not connected.
+        # Two separated triangles are not connected.
         assert result.answer.is_empty()
         totals = result.totals["counters"]
         assert totals["lp.solves"] > 0
@@ -189,15 +202,16 @@ class TestAnalyze:
         from repro.geometry.simplex import clear_feasibility_cache
         from repro.obs.metrics import metrics_snapshot, reset_metrics
 
-        engine = QueryEngine(one_dim_database(), cache=cache)
-        result = engine.explain("exists x0. S(x0)", analyze=True)
+        query = "exists x0, x1. S(x0, x1)"
+        engine = QueryEngine(two_triangles_database(), cache=cache)
+        result = engine.explain(query, analyze=True)
         analyzed = result.totals["counters"]
 
         cache.invalidate()
         clear_feasibility_cache()
         reset_metrics()
-        plain = QueryEngine(one_dim_database(), cache=cache)
-        plain.evaluate("exists x0. S(x0)")
+        plain = QueryEngine(two_triangles_database(), cache=cache)
+        plain.evaluate(query)
         snapshot = metrics_snapshot()
         assert analyzed["lp.solves"] == snapshot["lp.solves"]
         assert analyzed["arrangement.dfs_nodes"] == \

@@ -89,6 +89,20 @@ def one_dim_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def crossing_lines_file(tmp_path):
+    """Two crossing diagonal lines: 9 faces, built on the LP path
+    (axis-parallel planes take the LP-free interval search)."""
+    database = ConstraintDatabase.make({
+        "S": ConstraintRelation.make(
+            ("x0", "x1"), parse_formula("x0 < x1 & 0 < x0 + x1"),
+        )
+    })
+    path = tmp_path / "db2.cdb"
+    save_database(database, path)
+    return str(path)
+
+
 def run_cli(*argv) -> tuple[int, str]:
     buffer = io.StringIO()
     code = main(list(argv), out=buffer)
@@ -191,16 +205,18 @@ class TestProfileCommand:
         assert code == 0
         return json.loads(output)
 
-    def test_golden_span_tree_shape(self, one_dim_file):
+    def test_golden_span_tree_shape(self, crossing_lines_file):
         from repro.engine import default_cache
         from repro.geometry.simplex import clear_feasibility_cache
 
         default_cache().invalidate()       # force a cold build ...
         clear_feasibility_cache()          # ... with real LP solves
-        payload = self.run_profile(one_dim_file, "exists x. S(x)")
+        payload = self.run_profile(
+            crossing_lines_file, "exists x, y. S(x, y)"
+        )
 
         assert payload["command"] == "profile"
-        assert payload["query"] == "exists x. S(x)"
+        assert payload["query"] == "exists x, y. S(x, y)"
         assert payload["decomposition"] == "arrangement"
         assert len(payload["fingerprint"]) == 64
         assert payload["answer"] == {"variables": [], "empty": False}

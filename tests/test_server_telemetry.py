@@ -45,6 +45,16 @@ def _call(service: ConstraintService, request: Request):
     return asyncio.run(service.handle(request))
 
 
+def _call_captured(service: ConstraintService, request: Request):
+    """Handle one request, then wait for its slow-query capture."""
+    async def run():
+        response = await service.handle(request)
+        await service.drain_captures()
+        return response
+
+    return asyncio.run(run())
+
+
 def _service(**kwargs) -> ConstraintService:
     kwargs.setdefault("metrics", MetricsRegistry())
     kwargs.setdefault("telemetry", TelemetryRegistry())
@@ -199,7 +209,7 @@ class TestSlowQueryCapture:
 
     def test_slow_query_captures_analyzed_plan(self, tmp_path):
         service = self._slow_service(tmp_path)
-        response = _call(service, _request(
+        response = _call_captured(service, _request(
             "POST", "/v1/query", b'{"query": "S(x0)"}',
             headers={"x-repro-tenant": "acme"},
         ))
@@ -218,7 +228,7 @@ class TestSlowQueryCapture:
     def test_captured_plan_costs_sum_to_run_totals(self, tmp_path):
         """The EXPLAIN ANALYZE attribution contract holds in the log."""
         service = self._slow_service(tmp_path)
-        _call(service, _request("POST", "/v1/query",
+        _call_captured(service, _request("POST", "/v1/query",
                                 b'{"query": "exists x. S(x) & x < 1"}'))
         record = load_slow_log(tmp_path / "slow.jsonl")[0]
         explain = record["explain"]
@@ -235,7 +245,7 @@ class TestSlowQueryCapture:
     def test_captured_plan_evaluates_the_query(self, tmp_path):
         """The capture measures the query, not the answering engine's memo."""
         service = self._slow_service(tmp_path)
-        _call(service, _request("POST", "/v1/query",
+        _call_captured(service, _request("POST", "/v1/query",
                                 b'{"query": "exists x. S(x) & x < 1"}'))
         explain = load_slow_log(tmp_path / "slow.jsonl")[0]["explain"]
         formula_node = explain["plan"]["children"][1]
@@ -248,20 +258,53 @@ class TestSlowQueryCapture:
             config=EngineConfig(slow_log=str(path),
                                 slo_latency_ms=60000.0)
         )
-        _call(service, _request("POST", "/v1/query",
+        _call_captured(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
         assert load_slow_log(path) == []
 
     def test_capture_counter_and_journal_record(self, tmp_path):
         metrics = MetricsRegistry()
         service = self._slow_service(tmp_path, metrics=metrics)
-        _call(service, _request("POST", "/v1/query",
+        _call_captured(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
         assert metrics.counter("server.slow_queries").value == 1
 
+    def test_response_does_not_wait_for_its_capture(self, tmp_path):
+        service = self._slow_service(tmp_path)
+        path = tmp_path / "slow.jsonl"
+
+        async def run():
+            # Holding the explain lock blocks the capture's re-run.
+            async with service._explain_lock:
+                response = await asyncio.wait_for(
+                    service.handle(_request(
+                        "POST", "/v1/query", b'{"query": "S(x0)"}'
+                    )),
+                    timeout=20,
+                )
+                assert load_slow_log(path) == []
+            await service.drain_captures()
+            return response
+
+        response = asyncio.run(run())
+        assert response.status == 200
+        [record] = load_slow_log(path)
+        assert record["request_id"] == response.payload["request_id"]
+
+    def test_serve_awaits_captures_on_shutdown(self, tmp_path):
+        from repro.server import ServerThread, post_json
+
+        service = self._slow_service(tmp_path)
+        with ServerThread(service) as server:
+            status, __ = post_json(
+                server.port, "/v1/query", {"query": "S(x0)"}
+            )
+        assert status == 200
+        assert len(load_slow_log(tmp_path / "slow.jsonl")) == 1
+
     def test_records_are_valid_json_lines(self, tmp_path):
         service = self._slow_service(tmp_path)
-        _call(service, _request("POST", "/v1/query",
+        _call_captured(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
         raw = (tmp_path / "slow.jsonl").read_text().splitlines()
         assert all(json.loads(line) for line in raw)
