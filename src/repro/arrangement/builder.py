@@ -578,8 +578,8 @@ def build_arrangement(
     ``witness_reuse`` / ``dedup`` toggle the fast-path prunings (see
     :func:`enumerate_sign_vectors`).
 
-    ``store`` (default: :func:`repro.store.active_store`, i.e. the
-    ``--cache-dir`` / ``REPRO_CACHE_DIR`` setting) persists the finished
+    ``store`` (default: the store ``EngineConfig()`` names, i.e.
+    ``REPRO_CACHE_DIR``, resolved once on entry) persists the finished
     arrangement on disk and answers later builds of the same content
     from it — including in other processes.  Only the default fast path
     goes through the store: the naive baseline (``witness_reuse=False``
@@ -597,7 +597,11 @@ def build_arrangement(
         # Deferred import: repro.store's codec imports this module.
         from repro import store as store_pkg
 
-        disk = store if store is not None else store_pkg.active_store()
+        disk = store
+        if disk is None:
+            from repro.config import EngineConfig
+
+            disk = EngineConfig().store()
         if disk is not None:
             key = store_pkg.arrangement_key(planes, ambient, relation)
             cached = disk.load("arrangement", key)

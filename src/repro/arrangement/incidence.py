@@ -55,10 +55,6 @@ class IncidenceGraph:
         return IncidenceGraph(arrangement, tuple(down), tuple(up))
 
     # ------------------------------------------------------------------
-    def incident_faces(self, index: int) -> tuple[object, ...]:
-        """All vertices incident with face ``index`` (both directions)."""
-        return self.down[index] + self.up[index]
-
     def proper_edges(self) -> list[tuple[int, int]]:
         """All (lower, higher) incidence pairs between proper faces."""
         edges = []

@@ -101,18 +101,17 @@ def _metadata() -> dict:
     """The self-description block shared by every BENCH_*.json record.
 
     Computed after the measurements, so the ``store`` block reflects the
-    hits/misses/writes this run performed against the active cache
-    directory (``None`` when persistence is off).  ``executor`` is
+    hits/misses/writes this run performed against the store
+    ``EngineConfig()`` names (``None`` when persistence is off).  ``executor`` is
     surfaced top-level (not only inside ``config``) so a record always
     says which fixpoint tier produced its numbers.
     """
     from repro.config import EngineConfig
-    from repro.store import active_store
 
-    store = active_store()
-    config = EngineConfig.resolve()
+    config = EngineConfig()
+    store = config.store()
     return {
-        "lp_mode": fastlp.get_lp_mode(),
+        "lp_mode": config.lp_mode,
         "executor": config.executor,
         "optimizer": config.optimizer,
         "config": config.describe(),

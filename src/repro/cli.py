@@ -39,6 +39,13 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.config import (
+    ENV_CACHE_BUDGET,
+    ENV_CACHE_DIR,
+    ENV_EXECUTOR,
+    ENV_LP_MODE,
+    ENV_OPTIMIZER,
+    ENV_SLO_LATENCY_MS,
+    ENV_SLOW_LOG,
     EXECUTORS,
     OPTIMIZERS,
     EngineConfig,
@@ -53,7 +60,6 @@ from repro.logic.properties import (
 )
 from repro.obs import JOURNAL, TRACER, get_registry, reset_all
 from repro.obs.journal import ENV_JOURNAL
-from repro.store import store_scope
 from repro.twosorted.structure import RegionExtension
 
 
@@ -88,8 +94,8 @@ def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="persist arrangements and lineage under DIR so later "
-        "runs warm-start from disk (default: $REPRO_CACHE_DIR, else no "
-        "persistence; $REPRO_CACHE_BUDGET bounds the store in bytes)",
+        f"runs warm-start from disk (default: ${ENV_CACHE_DIR}, else no "
+        f"persistence; ${ENV_CACHE_BUDGET} bounds the store in bytes)",
     )
 
 
@@ -99,7 +105,7 @@ def _add_journal_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="append the command's structured event journal to PATH as "
-        "JSON Lines (default: $REPRO_JOURNAL, else no journal)",
+        f"JSON Lines (default: ${ENV_JOURNAL}, else no journal)",
     )
 
 
@@ -110,7 +116,7 @@ def _add_lp_mode_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="LP tier: 'filtered' = certified float filter with exact "
         "fallback, 'exact' = rational simplex only "
-        "(default: $REPRO_LP_MODE, else filtered)",
+        f"(default: ${ENV_LP_MODE}, else filtered)",
     )
 
 
@@ -122,7 +128,7 @@ def _add_optimizer_flag(parser: argparse.ArgumentParser) -> None:
         help="cost-based plan optimizer: 'on' = answer-preserving "
         "rewrites (NNF + miniscoping, region lift, cost-ordered "
         "operands), 'off' = the ablated oracle plans "
-        "(default: $REPRO_OPTIMIZER, else on)",
+        f"(default: ${ENV_OPTIMIZER}, else on)",
     )
 
 
@@ -134,7 +140,7 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         help="fixpoint executor: 'compiled' = relational-algebra IR "
         "over memoised kernels, 'interpreted' = the rule-at-a-time "
         "oracle; both give byte-identical answers "
-        "(default: $REPRO_EXECUTOR, else compiled)",
+        f"(default: ${ENV_EXECUTOR}, else compiled)",
     )
 
 
@@ -251,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON record to PATH (e.g. BENCH_E2.json)",
     )
     _add_lp_mode_flag(bench)
-    _add_cache_dir_flag(bench)
     _add_journal_flag(bench)
 
 
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="slow_log",
         help="capture EXPLAIN ANALYZE records for requests slower than "
              "the SLO latency objective to PATH as JSON Lines "
-             "(default: $REPRO_SLOW_LOG, else off)",
+             f"(default: ${ENV_SLOW_LOG}, else off)",
     )
     serve.add_argument(
         "--slo-latency-ms",
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="slo_latency_ms",
         help="per-tenant latency objective in milliseconds; doubles as "
              "the slow-query capture threshold "
-             "(default: $REPRO_SLO_LATENCY_MS, else 250)",
+             f"(default: ${ENV_SLO_LATENCY_MS}, else 250)",
     )
     _add_decomposition_flag(serve)
     _add_spatial_flag(serve)
@@ -354,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     slowlog = commands.add_parser(
         "slowlog",
         help="inspect the slow-query log written by a server "
-             "(--slow-log / $REPRO_SLOW_LOG)",
+             f"(--slow-log / ${ENV_SLOW_LOG})",
     )
     slowlog.add_argument(
         "path", nargs="?", default=None,
-        help="slow-log JSONL file (default: $REPRO_SLOW_LOG)",
+        help=f"slow-log JSONL file (default: ${ENV_SLOW_LOG})",
     )
     slowlog.add_argument(
         "--limit", type=int, default=10, metavar="N",
@@ -384,6 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spatial_flag(render)
 
     return parser
+
+
+def _config(args: argparse.Namespace) -> EngineConfig:
+    """The command's one :class:`EngineConfig`, built from its flags
+    (flag > ``REPRO_*`` environment > default)."""
+    return EngineConfig(
+        lp_mode=getattr(args, "lp_mode", None),
+        executor=getattr(args, "executor", None),
+        optimizer=getattr(args, "optimizer", None),
+        cache_dir=getattr(args, "cache_dir", None),
+        slow_log=getattr(args, "slow_log", None),
+        slo_latency_ms=getattr(args, "slo_latency_ms", None),
+    )
 
 
 def _cmd_check(args: argparse.Namespace, out) -> int:
@@ -419,8 +437,7 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
     database = load_database(args.database)
     formula = parse_query(args.text)
     engine = QueryEngine(
-        database, args.decomposition, args.spatial,
-        config=EngineConfig(optimizer=args.optimizer),
+        database, args.decomposition, args.spatial, config=_config(args),
     )
     if formula.free_region_vars() or formula.free_set_vars():
         print(
@@ -452,15 +469,17 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
     import json
 
     database = load_database(args.database)
+    config = _config(args)
     if args.datalog:
         from repro.datalog.parser import parse_program
         from repro.explain import explain_datalog
 
         program = parse_program(args.text)
-        result = explain_datalog(
-            program, database, analyze=args.analyze,
-            executor=args.executor, optimizer=args.optimizer,
-        )
+        with fastlp.lp_mode(config.lp_mode):
+            result = explain_datalog(
+                program, database, analyze=args.analyze,
+                executor=config.executor, optimizer=config.optimizer,
+            )
     else:
         formula = parse_query(args.text)
         if formula.free_region_vars() or formula.free_set_vars():
@@ -471,8 +490,7 @@ def _cmd_explain(args: argparse.Namespace, out) -> int:
             )
             return 2
         engine = QueryEngine(
-            database, args.decomposition, args.spatial,
-            config=EngineConfig(optimizer=args.optimizer),
+            database, args.decomposition, args.spatial, config=config,
         )
         result = engine.explain(formula, analyze=args.analyze)
     if args.as_json:
@@ -505,7 +523,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
             )
             return 2
         engine = QueryEngine(
-            database, args.decomposition, args.spatial
+            database, args.decomposition, args.spatial, config=_config(args)
         )
         answer = engine.evaluate(formula)
         empty = answer.is_empty()
@@ -516,7 +534,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
         "database": args.database,
         "query": args.text,
         "decomposition": args.decomposition,
-        "lp_mode": fastlp.get_lp_mode(),
+        "lp_mode": engine.lp_mode,
         "cache_dir": args.cache_dir,
         "store": engine.stats().get("store"),
         "fingerprint": engine.fingerprint,
@@ -537,7 +555,9 @@ def _cmd_arrangement(args: argparse.Namespace, out) -> int:
 
     database = load_database(args.database)
     relation = database.relation(args.spatial)
-    arrangement = build_arrangement(relation)
+    config = _config(args)
+    with fastlp.lp_mode(config.lp_mode):
+        arrangement = build_arrangement(relation, store=config.store())
     census = arrangement.face_count_by_dimension()
     print(f"hyperplanes: {len(arrangement.hyperplanes)}", file=out)
     for dim in sorted(census, reverse=True):
@@ -606,7 +626,8 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
                   file=out)
             return 2
         kwargs["sizes"] = sizes
-    record = runner(**kwargs)
+    with fastlp.lp_mode(args.lp_mode):
+        record = runner(**kwargs)
     print(json.dumps(record, indent=2), file=out)
     if args.output:
         write_record(record, args.output)
@@ -631,7 +652,7 @@ def _cmd_metrics(args: argparse.Namespace, out) -> int:
     if args.database is not None:
         database = load_database(args.database)
         engine = QueryEngine(
-            database, args.decomposition, args.spatial
+            database, args.decomposition, args.spatial, config=_config(args)
         )
         if args.text is not None:
             formula = parse_query(args.text)
@@ -655,16 +676,12 @@ def _cmd_slowlog(args: argparse.Namespace, out) -> int:
     """Inspect the slow-query log (newest records last)."""
     import json
 
-    from repro.obs.slowlog import ENV_SLOW_LOG, load_slow_log
+    from repro.obs.slowlog import load_slow_log
 
-    path = (
-        args.path
-        or os.environ.get(ENV_SLOW_LOG, "").strip()
-        or None
-    )
+    path = EngineConfig(slow_log=args.path or None).slow_log
     if path is None:
         print(
-            "error: no slow-query log (pass PATH or set REPRO_SLOW_LOG)",
+            f"error: no slow-query log (pass PATH or set {ENV_SLOW_LOG})",
             file=out,
         )
         return 2
@@ -697,10 +714,9 @@ def _cmd_slowlog(args: argparse.Namespace, out) -> int:
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     """Run the async multi-tenant HTTP/JSON service until interrupted.
 
-    The engine configuration is pinned once at startup with
-    :meth:`EngineConfig.resolve` (flag > ``REPRO_*`` env > default): a
-    long-lived server must not change behaviour because an environment
-    variable moved under it mid-flight.
+    The engine configuration is built once at startup from the flags
+    (flag > ``REPRO_*`` env > default): a long-lived server does not
+    change behaviour because an environment variable moved under it.
     """
     import asyncio
     import pathlib
@@ -718,14 +734,9 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                   file=out)
             return 2
         databases[name] = load_database(path)
-    config = EngineConfig.resolve(
-        lp_mode=args.lp_mode, cache_dir=args.cache_dir,
-        executor=args.executor, optimizer=args.optimizer,
-        slow_log=args.slow_log, slo_latency_ms=args.slo_latency_ms,
-    )
     service = ConstraintService(
         databases,
-        config,
+        _config(args),
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
         max_concurrent=args.max_concurrent,
@@ -806,9 +817,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     if want_trace:
         TRACER.start(args.command)
     try:
-        with fastlp.lp_mode(getattr(args, "lp_mode", None)), \
-                store_scope(getattr(args, "cache_dir", None)):
-            return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](args, out)
     except ReproError as error:
         print(f"error: {error}", file=out)
         return 1

@@ -1,7 +1,8 @@
 """`EngineConfig` — one object for every engine knob.
 
 Every runtime knob of the engine, the CLI and the server lives in one
-frozen dataclass with one documented resolution order:
+frozen dataclass with one documented resolution order, applied once,
+when the config is built:
 
     **explicit argument > environment variable > built-in default**
 
@@ -12,36 +13,36 @@ field              environment variable       default
 ``executor``       ``REPRO_EXECUTOR``         ``"compiled"``
 ``cache_dir``      ``REPRO_CACHE_DIR``        ``None`` (no persistence)
 ``cache_budget``   ``REPRO_CACHE_BUDGET``     ``None`` (unbounded)
-``journal``        ``REPRO_JOURNAL``          ``None`` (no journal sink)
 ``optimizer``      ``REPRO_OPTIMIZER``        ``"on"`` (cost-based rewrites)
 ``slow_log``       ``REPRO_SLOW_LOG``         ``None`` (no slow-query log)
 ``slo_latency_ms`` ``REPRO_SLO_LATENCY_MS``   ``250.0`` ms objective
 =================  =========================  ===========================
 
-``jobs`` is a ninth field with no environment variable: it accepts only
-``1``, because arrangements are built by one sequential DFS.
+``jobs`` is an eighth field with no environment variable: it accepts
+only ``1``, because arrangements are built by one sequential DFS.
 
-Two construction styles, for two lifetimes:
+A field passed as ``None`` (or left out) is filled in by the
+constructor, so ``EngineConfig(**kw) == EngineConfig.resolve(**kw)``
+and a built config never reads the environment again.  ``lp_mode``
+takes its fallback from :func:`repro.geometry.fastlp.get_lp_mode` (an
+enclosing ``fastlp.lp_mode`` scope, else ``REPRO_LP_MODE``, else
+``filtered``), the one reader of that variable.  ``cache_dir``,
+``cache_budget`` and ``slow_log`` name optional resources: when neither
+the argument nor the environment names one they resolve to ``None`` —
+no store, no budget, no slow-query log.
 
-* :meth:`EngineConfig.resolve` applies the resolution order **once, at
-  construction** — the environment is snapshotted and the resulting
-  config is fully pinned.  This is what ``repro serve`` and the
-  benchmarks use: a long-lived process should not change behaviour
-  because an environment variable moved under it.
-* ``EngineConfig(...)`` with ``None`` fields is *deferred*: a ``None``
-  field means "consult the environment at use time, else the
-  default".  This is what ``QueryEngine(db)`` builds when given no
-  config, and what the one-shot CLI commands build around their flags.
-
-There is no other tier: nothing the engine measures ever sets a knob.
+The entry points that accept a missing knob — ``QueryEngine(db)``,
+``Evaluator``, ``evaluate_program``, ``explain_datalog`` and
+``build_arrangement(store=None)`` — build an ``EngineConfig`` once on
+entry; everything downstream reads resolved fields.
 
 Consumers::
 
     from repro.config import EngineConfig
 
-    config = EngineConfig.resolve(lp_mode="exact")  # env fills the rest
+    config = EngineConfig(lp_mode="exact")   # env fills the rest
     engine = QueryEngine(db, config=config)
-    store = config.store()                        # the pinned DiskStore
+    store = config.store()                   # the DiskStore, or None
 """
 
 from __future__ import annotations
@@ -52,19 +53,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.geometry import fastlp
+from repro.geometry.fastlp import ENV_LP_MODE
+from repro.obs.slowlog import ENV_SLOW_LOG
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.disk import DiskStore
 
-#: Environment variable names, in one place (the store/journal modules
-#: remain the authoritative readers for their own deferred paths).
-ENV_LP_MODE = "REPRO_LP_MODE"
+#: Environment variable names (``REPRO_LP_MODE`` and ``REPRO_SLOW_LOG``
+#: are defined next to the code they configure and re-exported here).
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_BUDGET = "REPRO_CACHE_BUDGET"
-ENV_JOURNAL = "REPRO_JOURNAL"
 ENV_OPTIMIZER = "REPRO_OPTIMIZER"
-ENV_SLOW_LOG = "REPRO_SLOW_LOG"
 ENV_SLO_LATENCY_MS = "REPRO_SLO_LATENCY_MS"
 
 #: Fixpoint executor tiers.  ``"compiled"`` lowers datalog rule bodies
@@ -88,120 +88,104 @@ OPTIMIZERS = ("on", "off")
 DEFAULT_SLO_LATENCY_MS = 250.0
 
 
-def resolve_slow_log(slow_log: "str | None" = None) -> "str | None":
-    """Effective slow-log path: explicit > ``REPRO_SLOW_LOG`` > none."""
-    if slow_log is not None:
-        return slow_log
-    return os.environ.get(ENV_SLOW_LOG, "").strip() or None
+def _env(name: str) -> str | None:
+    """An environment variable's stripped value, or ``None`` if unset."""
+    return os.environ.get(name, "").strip() or None
 
 
-def resolve_slo_latency_ms(slo_latency_ms: "float | None" = None) -> float:
-    """Effective latency objective: explicit > env > 250 ms."""
-    if slo_latency_ms is not None:
-        latency = float(slo_latency_ms)
-        if latency <= 0:
-            raise ValueError(
-                f"slo_latency_ms must be positive, got {slo_latency_ms!r}"
-            )
-        return latency
-    env_value = _env_slo_latency_ms()
-    return env_value if env_value is not None else DEFAULT_SLO_LATENCY_MS
-
-
-def resolve_optimizer(optimizer: "str | None" = None) -> str:
-    """The effective optimizer mode: explicit > ``REPRO_OPTIMIZER`` > on.
-
-    The deferred twin of the ``optimizer`` field, mirroring
-    :func:`resolve_executor` for call sites that receive ``None``.
-    """
-    if optimizer is None:
-        optimizer = (
-            os.environ.get(ENV_OPTIMIZER, "").strip().lower() or "on"
-        )
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(
-            f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
-        )
-    return optimizer
-
-
-def resolve_executor(executor: "str | None" = None) -> str:
-    """The effective executor: explicit arg > ``REPRO_EXECUTOR`` > default.
-
-    The deferred twin of the ``executor`` field for code paths that
-    receive ``None`` (an unresolved config field).
-    """
-    if executor is None:
-        executor = (
-            os.environ.get(ENV_EXECUTOR, "").strip().lower() or "compiled"
-        )
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    return executor
+def _env_positive(name: str, kind: type, unit: str) -> "int | float | None":
+    """A numeric environment variable; ``None`` if unset or not positive."""
+    raw = _env(name)
+    if raw is None:
+        return None
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {unit}, got {raw!r}") from None
+    return value if value > 0 else None
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Frozen bundle of every engine/runtime knob.
+    """Frozen bundle of every engine/runtime knob, resolved when built.
 
-    ``None`` means *unresolved* (defer to the environment at use time)
-    for every field.  Use :meth:`resolve` to pin everything now.
+    Pass ``None`` (or omit a field) to take the environment variable,
+    else the default; see the module docstring for the table.
     """
 
-    #: LP tier: ``"filtered"`` or ``"exact"`` (``None`` = env at use).
+    #: LP tier: ``"filtered"`` or ``"exact"``.
     lp_mode: str | None = None
-    #: Always ``1`` (``None`` resolves to it): arrangement construction
-    #: is sequential and nothing reads this field.  It stays so existing
-    #: ``EngineConfig(jobs=1)`` call sites keep constructing.
+    #: Always ``1``: arrangement construction is sequential and nothing
+    #: reads this field.  It stays so existing ``EngineConfig(jobs=1)``
+    #: call sites keep constructing.
     jobs: int | None = None
     #: Fixpoint executor: ``"compiled"`` (relational-algebra IR,
     #: set-at-a-time) or ``"interpreted"`` (per-stage AST walk, the
-    #: oracle).  ``None`` = consult ``REPRO_EXECUTOR`` at use time.
+    #: oracle).
     executor: str | None = None
     #: Disk warm-start directory or a :class:`DiskStore` instance
-    #: (``None`` = env at use time, which may also mean no persistence).
+    #: (``None`` after construction = no persistence).
     cache_dir: "DiskStore | str | os.PathLike[str] | None" = None
-    #: Byte budget for the disk store's LRU eviction (``None`` = env at
-    #: use time, else unbounded).
+    #: Byte budget for the disk store's LRU eviction (``None`` after
+    #: construction = unbounded).
     cache_budget: int | None = None
-    #: JSONL journal sink path (``None`` = env at use time, else none).
-    journal: str | None = None
-    #: Cost-based optimizer: ``"on"`` or ``"off"`` (``None`` = consult
-    #: ``REPRO_OPTIMIZER`` at use time; the built-in default is on).
+    #: Cost-based optimizer: ``"on"`` or ``"off"``.
     optimizer: str | None = None
-    #: Slow-query log JSONL path (``None`` = env at use time, else no
+    #: Slow-query log JSONL path (``None`` after construction = no
     #: slow-query capture).
     slow_log: str | None = None
     #: Per-request latency objective in milliseconds: the SLO breach
     #: bound of the request histogram and the slow-query capture
-    #: threshold (``None`` = env at use time, else
-    #: :data:`DEFAULT_SLO_LATENCY_MS`).
+    #: threshold.
     slo_latency_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lp_mode is not None and self.lp_mode not in fastlp.LP_MODES:
+        def fill(name: str, value: Any) -> None:
+            object.__setattr__(self, name, value)
+
+        if self.lp_mode is None:
+            fill("lp_mode", fastlp.get_lp_mode())
+        if self.jobs is None:
+            fill("jobs", 1)
+        if self.executor is None:
+            fill("executor", (_env(ENV_EXECUTOR) or "compiled").lower())
+        if self.cache_dir is None:
+            fill("cache_dir", _env(ENV_CACHE_DIR))
+        if self.cache_budget is None:
+            fill("cache_budget", _env_positive(
+                ENV_CACHE_BUDGET, int, "an integer byte count"
+            ))
+        if self.optimizer is None:
+            fill("optimizer", (_env(ENV_OPTIMIZER) or "on").lower())
+        if self.slow_log is None:
+            fill("slow_log", _env(ENV_SLOW_LOG))
+        if self.slo_latency_ms is None:
+            fill("slo_latency_ms", _env_positive(
+                ENV_SLO_LATENCY_MS, float, "a millisecond count"
+            ) or DEFAULT_SLO_LATENCY_MS)
+        fill("slo_latency_ms", float(self.slo_latency_ms))
+
+        if self.lp_mode not in fastlp.LP_MODES:
             raise ValueError(
                 f"lp_mode must be one of {fastlp.LP_MODES}, "
                 f"got {self.lp_mode!r}"
             )
-        if self.jobs is not None and self.jobs != 1:
+        if self.jobs != 1:
             raise ValueError(
                 f"jobs must be 1, got {self.jobs!r}: process-parallel "
                 f"arrangement construction was removed"
             )
-        if self.executor is not None and self.executor not in EXECUTORS:
+        if self.executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, "
                 f"got {self.executor!r}"
             )
-        if self.optimizer is not None and self.optimizer not in OPTIMIZERS:
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZERS}, "
                 f"got {self.optimizer!r}"
             )
-        if self.slo_latency_ms is not None and float(self.slo_latency_ms) <= 0:
+        if self.slo_latency_ms <= 0:
             raise ValueError(
                 f"slo_latency_ms must be positive milliseconds, "
                 f"got {self.slo_latency_ms!r}"
@@ -217,11 +201,9 @@ class EngineConfig:
     # ------------------------------------------------------------------
     @classmethod
     def resolve(cls, **overrides: Any) -> "EngineConfig":
-        """A fully pinned config: explicit arg > environment > default.
+        """The same config as ``EngineConfig(**overrides)``.
 
-        The environment is read exactly once, here; the returned config
-        never consults it again.  Unknown keyword names raise
-        ``TypeError`` (same contract as the dataclass constructor).
+        Unknown keyword names raise ``TypeError`` naming the field.
         """
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = set(overrides) - known
@@ -229,53 +211,7 @@ class EngineConfig:
             raise TypeError(
                 f"unknown EngineConfig field(s): {sorted(unknown)}"
             )
-
-        def pick(name: str, from_env, default):
-            value = overrides.get(name)
-            if value is not None:
-                return value
-            env_value = from_env()
-            return env_value if env_value is not None else default
-
-        lp_mode = pick(
-            "lp_mode",
-            lambda: os.environ.get(ENV_LP_MODE, "").strip().lower() or None,
-            "filtered",
-        )
-        jobs = overrides.get("jobs")
-        jobs = 1 if jobs is None else jobs
-        executor = resolve_executor(overrides.get("executor"))
-        cache_dir = pick(
-            "cache_dir",
-            lambda: os.environ.get(ENV_CACHE_DIR, "").strip() or None,
-            None,
-        )
-        cache_budget = pick("cache_budget", _env_cache_budget, None)
-        journal = pick(
-            "journal",
-            lambda: os.environ.get(ENV_JOURNAL, "").strip() or None,
-            None,
-        )
-        optimizer = resolve_optimizer(overrides.get("optimizer"))
-        slow_log = pick(
-            "slow_log",
-            lambda: os.environ.get(ENV_SLOW_LOG, "").strip() or None,
-            None,
-        )
-        slo_latency_ms = pick(
-            "slo_latency_ms", _env_slo_latency_ms, DEFAULT_SLO_LATENCY_MS
-        )
-        return cls(
-            lp_mode=lp_mode,
-            jobs=jobs,
-            executor=executor,
-            cache_dir=cache_dir,
-            cache_budget=cache_budget,
-            journal=journal,
-            optimizer=optimizer,
-            slow_log=slow_log,
-            slo_latency_ms=slo_latency_ms,
-        )
+        return cls(**overrides)
 
     def with_overrides(self, **changes: Any) -> "EngineConfig":
         """A copy with some fields replaced (the config itself is frozen)."""
@@ -285,24 +221,11 @@ class EngineConfig:
     # Derived resources
     # ------------------------------------------------------------------
     def store(self) -> "DiskStore | None":
-        """The disk store this config pins (``None`` when unresolved
-        *and* the environment names no directory)."""
+        """The disk store this config names (``None`` = no persistence)."""
         from repro import store as store_pkg
 
-        if self.cache_dir is None:
-            return store_pkg.active_store()
         return store_pkg.resolve_store(
             self.cache_dir, size_budget=self.cache_budget
-        )
-
-    def make_cache(self, metrics=None) -> "Any":
-        """A fresh :class:`~repro.engine.EngineCache` honouring this
-        config's store pinning."""
-        from repro.engine import EngineCache
-
-        return EngineCache(
-            metrics=metrics,
-            store=self.store() if self.cache_dir is not None else None,
         )
 
     def describe(self) -> dict[str, Any]:
@@ -316,36 +239,7 @@ class EngineConfig:
             "executor": self.executor,
             "cache_dir": cache_dir,
             "cache_budget": self.cache_budget,
-            "journal": self.journal,
             "optimizer": self.optimizer,
             "slow_log": self.slow_log,
             "slo_latency_ms": self.slo_latency_ms,
         }
-
-
-def _env_cache_budget() -> int | None:
-    """``REPRO_CACHE_BUDGET`` as a positive int, or ``None``."""
-    raw = os.environ.get(ENV_CACHE_BUDGET, "").strip()
-    if not raw:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_CACHE_BUDGET} must be an integer byte count, got {raw!r}"
-        ) from None
-    return budget if budget > 0 else None
-
-
-def _env_slo_latency_ms() -> float | None:
-    """``REPRO_SLO_LATENCY_MS`` as a positive float, or ``None``."""
-    raw = os.environ.get(ENV_SLO_LATENCY_MS, "").strip()
-    if not raw:
-        return None
-    try:
-        latency = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_SLO_LATENCY_MS} must be a millisecond count, got {raw!r}"
-        ) from None
-    return latency if latency > 0 else None

@@ -126,9 +126,6 @@ class ConstraintRelation:
         ]
         return Polyhedron.make(self.arity, constraints)
 
-    def all_atoms(self) -> frozenset[Atom]:
-        return self.formula.atoms()
-
     def representation_size(self) -> int:
         """The paper's size measure: length of the representing formula."""
         return self.formula.size()

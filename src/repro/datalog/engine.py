@@ -283,28 +283,28 @@ def evaluate_program(
     ``executor`` picks how the semi-naive strategy is run: ``"compiled"``
     (rules compiled once to relational-algebra IR, evaluated through
     memoised kernels — see :mod:`repro.datalog.compile`) or
-    ``"interpreted"`` (the rule-at-a-time oracle).  ``None`` defers to
-    ``REPRO_EXECUTOR`` / the config default.  Both executors produce
-    byte-identical stage relations; the naive strategy is always
-    interpreted.
+    ``"interpreted"`` (the rule-at-a-time oracle).  ``None`` takes
+    ``EngineConfig().executor`` (``REPRO_EXECUTOR``, else compiled),
+    resolved once here.  Both executors produce byte-identical stage
+    relations; the naive strategy is always interpreted.
 
     ``optimizer`` gates the cost-based body-atom reordering of
-    :func:`repro.optimizer.rewrite.order_program` (``None`` defers to
-    ``REPRO_OPTIMIZER``, default on).  The rewrite is applied once to
-    the whole program *before* any executor sees it, so the compiled
-    and interpreted tiers keep byte-identical stage relations; the
-    ablated program (``optimizer="off"``) is the semantic oracle.
+    :func:`repro.optimizer.rewrite.order_program` (``None`` takes
+    ``EngineConfig().optimizer``: ``REPRO_OPTIMIZER``, default on).
+    The rewrite is applied once to the whole program *before* any
+    executor sees it, so the compiled and interpreted tiers keep
+    byte-identical stage relations; the ablated program
+    (``optimizer="off"``) is the semantic oracle.
     """
-    from repro.config import resolve_optimizer
+    from repro.config import EngineConfig
 
-    if resolve_optimizer(optimizer) == "on":
+    knobs = EngineConfig(executor=executor, optimizer=optimizer)
+    if knobs.optimizer == "on":
         from repro.optimizer.rewrite import order_program
 
         program = order_program(program)
     if strategy == "seminaive":
-        from repro.config import resolve_executor
-
-        if resolve_executor(executor) == "compiled":
+        if knobs.executor == "compiled":
             from repro.datalog.compile import evaluate_program_compiled
 
             return evaluate_program_compiled(program, database, max_stages)

@@ -105,17 +105,10 @@ class EngineCache:
         self,
         capacity: int = DEFAULT_CACHE_CAPACITY,
         metrics: MetricsRegistry | None = None,
-        store: DiskStore | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        #: Optional pinned disk store for arrangement warm-starts.  When
-        #: ``None`` every miss consults :func:`repro.store.active_store`
-        #: (the ``--cache-dir`` / ``REPRO_CACHE_DIR`` setting), so the
-        #: process-wide shared cache honours the CLI flags without being
-        #: rebuilt.
-        self.store = store
         self._extensions: OrderedDict[tuple, RegionExtension] = OrderedDict()
         self._arrangements: OrderedDict[tuple, Arrangement] = OrderedDict()
         self._lock = threading.Lock()
@@ -189,12 +182,13 @@ class EngineCache:
         self,
         relation: ConstraintRelation,
         extra_hyperplanes: tuple[Hyperplane, ...] | None = None,
+        store: DiskStore | None = None,
     ) -> Arrangement:
         """A(S) for a relation, built once per structural fingerprint.
 
-        Misses consult the disk store (when one is pinned or active)
-        before enumerating, and persist freshly built arrangements for
-        later processes.
+        A miss is a :func:`build_arrangement` call with ``store``: it
+        consults that disk store before enumerating and persists freshly
+        built arrangements for later processes.
         """
         extra_key = (
             tuple(
@@ -227,7 +221,7 @@ class EngineCache:
             return build_arrangement(
                 relation,
                 hyperplanes=extra_hyperplanes or None,
-                store=self.store,
+                store=store,
             )
 
         return self._get_or_build(
@@ -242,8 +236,10 @@ class EngineCache:
         database: ConstraintDatabase,
         decomposition: str = "arrangement",
         spatial_name: str = "S",
+        store: DiskStore | None = None,
     ) -> RegionExtension:
-        """The region extension, reused across structurally equal builds."""
+        """The region extension, reused across structurally equal builds;
+        its arrangement misses go to :meth:`arrangement` with ``store``."""
         key = (
             database_fingerprint(database),
             decomposition,
@@ -271,7 +267,9 @@ class EngineCache:
                 database,
                 decomposition,
                 spatial_name,
-                arrangement_factory=self.arrangement,
+                arrangement_factory=lambda relation, extra: (
+                    self.arrangement(relation, extra, store=store)
+                ),
             )
 
         return self._get_or_build(
@@ -289,8 +287,8 @@ class EngineCache:
         The incremental write path (:meth:`QueryEngine.apply_delta`)
         computes the new version's arrangement by delta and seeds it
         here, so the next extension build takes a counted hit instead
-        of re-running the batch construction.  When a disk store is
-        given the entry is persisted too — but never overwritten:
+        of re-running the batch construction.  When ``store`` is given
+        the entry is persisted too — but never overwritten:
         content-addressed keys mean an existing entry is the same
         arrangement already, and leaving it untouched keeps store bytes
         stable across write/undo round trips.
@@ -303,15 +301,14 @@ class EngineCache:
             self._arrangements.move_to_end(key)
             while len(self._arrangements) > self.capacity:
                 self._arrangements.popitem(last=False)
-        disk = store if store is not None else self.store
-        if disk is not None:
+        if store is not None:
             disk_key = store_pkg.arrangement_key(
                 hyperplanes_of_relation(relation),
                 relation.arity,
                 relation,
             )
-            if not disk.entry_path("arrangement", disk_key).exists():
-                disk.save("arrangement", disk_key, arrangement)
+            if not store.entry_path("arrangement", disk_key).exists():
+                store.save("arrangement", disk_key, arrangement)
 
     # ------------------------------------------------------------------
     # Predictions (non-mutating, for ``repro explain``)
@@ -413,8 +410,8 @@ class EngineCache:
 
 # The process-default cache: what ``QueryEngine(cache=None)`` uses, so
 # independent engines keep reusing each other's work.  New code that
-# wants an explicit lifetime constructs its own EngineCache (or calls
-# EngineConfig.make_cache()) and passes it via ``QueryEngine(cache=...)``.
+# wants an explicit lifetime constructs its own EngineCache and passes
+# it via ``QueryEngine(cache=...)``.
 _DEFAULT_CACHE = EngineCache()
 
 
@@ -465,9 +462,10 @@ class QueryEngine:
     strings (parsed with :func:`repro.logic.parser.parse_query`).
 
     Runtime knobs arrive as one :class:`~repro.config.EngineConfig`
-    (``QueryEngine(db, config=EngineConfig.resolve(lp_mode="exact"))``).
-    Without one the engine builds ``EngineConfig()``, whose ``None`` fields
-    consult the environment at use time.
+    (``QueryEngine(db, config=EngineConfig(lp_mode="exact"))``).
+    Without one the engine builds ``EngineConfig()`` once, here, from the
+    environment; its store and LP mode are passed down explicitly to
+    every build and evaluation.
     """
 
     def __init__(
@@ -487,23 +485,19 @@ class QueryEngine:
         #: The engine's (frozen) runtime configuration.
         self.config = config
         self.cache = cache if cache is not None else _DEFAULT_CACHE
-        #: Disk warm-start: an explicit ``cache_dir`` (path or
-        #: :class:`~repro.store.disk.DiskStore`) pins persistence for
-        #: this engine; ``None`` defers to the process-wide setting
-        #: (``--cache-dir`` / ``REPRO_CACHE_DIR``) at use time.
-        self._pinned_store = store_pkg.resolve_store(
-            config.cache_dir, size_budget=config.cache_budget
-        )
+        #: The disk store of the config (``None`` = no persistence),
+        #: passed to every arrangement build and lineage write.
+        self.store: DiskStore | None = config.store()
         #: Rewritten plans, keyed by the original query's structural
         #: rendering.  Re-planning must return the *same* formula object
         #: so EXPLAIN's profiler frames line up with the plan tree.
         self._plans: OrderedDict[str, tuple] = OrderedDict()
         registry = get_registry()
         self._c_opt_rewrites = registry.counter("optimizer.rewrites")
-        #: LP tier selection, ``"exact"`` or ``"filtered"`` (``None`` =
-        #: consult ``REPRO_LP_MODE``, defaulting to ``"filtered"``).
-        #: Both modes return identical statuses and exact witnesses, so
-        #: the engine cache is deliberately not keyed on it.
+        #: LP tier, ``"exact"`` or ``"filtered"``, entered around every
+        #: build and evaluation.  Both modes return identical statuses
+        #: and exact witnesses, so the engine cache is deliberately not
+        #: keyed on it.
         self.lp_mode = config.lp_mode
         self._extension: RegionExtension | None = None
         self._evaluator: Evaluator | None = None
@@ -520,32 +514,12 @@ class QueryEngine:
         """The database's canonical fingerprint (the cache key)."""
         return database_fingerprint(self.database)
 
-    def _store(self) -> DiskStore | None:
-        """The disk store in effect for this engine right now."""
-        if self._pinned_store is not None:
-            return self._pinned_store
-        return store_pkg.active_store()
-
-    def _store_scope(self):
-        """A context pinning this engine's store for nested builds.
-
-        A no-op when no ``cache_dir`` was pinned, so process-wide
-        ``--cache-dir`` / ``REPRO_CACHE_DIR`` settings stay in effect.
-        """
-        if self._pinned_store is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return store_pkg.store_scope(self._pinned_store)
-
     # ------------------------------------------------------------------
     # Cost-based optimizer (plan rewrites)
     # ------------------------------------------------------------------
     def optimizer_enabled(self) -> bool:
         """Whether the cost-based optimizer applies to this engine."""
-        from repro.config import resolve_optimizer
-
-        return resolve_optimizer(self.config.optimizer) == "on"
+        return self.config.optimizer == "on"
 
     #: Bound on remembered rewritten plans per engine.
     _PLAN_CAPACITY = 256
@@ -588,12 +562,12 @@ class QueryEngine:
     def extension(self) -> RegionExtension:
         """The region extension 𝔅^Reg (cached across engines)."""
         if self._extension is None:
-            with fastlp.lp_mode(self.lp_mode), \
-                    self._store_scope():
+            with fastlp.lp_mode(self.lp_mode):
                 self._extension = self.cache.extension(
                     self.database,
                     self.decomposition,
                     self.spatial_name,
+                    store=self.store,
                 )
         return self._extension
 
@@ -633,9 +607,7 @@ class QueryEngine:
         # the planned formula and dropped with the evaluator.
         formula, __ = self.plan(formula)
         started = time.perf_counter()
-        with TRACER.span("evaluate"), \
-                fastlp.lp_mode(self.lp_mode), \
-                self._store_scope():
+        with TRACER.span("evaluate"), fastlp.lp_mode(self.lp_mode):
             answer = self.evaluator.evaluate(formula)
         self._observe_latency(
             "engine.evaluate_seconds", time.perf_counter() - started
@@ -648,11 +620,9 @@ class QueryEngine:
         One histogram observe per query — negligible against evaluation
         cost (measured in docs/OBSERVABILITY.md's overhead contract).
         """
-        from repro.config import resolve_executor
-
         labels = {
-            "executor": resolve_executor(self.config.executor),
-            "lp_mode": self.lp_mode or fastlp.get_lp_mode(),
+            "executor": self.config.executor,
+            "lp_mode": self.lp_mode,
         }
         get_telemetry().histogram(name, labels).observe(seconds)
 
@@ -726,13 +696,11 @@ class QueryEngine:
         registry = get_registry()
         inserted_before = registry.get("incremental.planes_inserted")
         retracted_before = registry.get("incremental.planes_retracted")
-        disk = self._store()
+        disk = self.store
         if self._maintained is None:
             self._maintained = inc.MaintainedArrangements()
         delta_started = time.perf_counter()
-        with TRACER.span("apply_delta"), \
-                fastlp.lp_mode(self.lp_mode), \
-                self._store_scope():
+        with TRACER.span("apply_delta"), fastlp.lp_mode(self.lp_mode):
             for name in changed:
                 old_rel = parent_db.relation(name)
                 new_rel = child_db.relation(name)
@@ -741,7 +709,9 @@ class QueryEngine:
                 arrangement = self._maintained.update(
                     old_rel,
                     new_rel,
-                    build_old=lambda rel=old_rel: self.cache.arrangement(rel),
+                    build_old=lambda rel=old_rel: self.cache.arrangement(
+                        rel, store=disk
+                    ),
                 )
                 self.cache.seed_arrangement(
                     new_rel, arrangement, store=disk
@@ -808,13 +778,11 @@ class QueryEngine:
 
     def stats(self) -> dict[str, object]:
         """One dict with the engine's caches and evaluator telemetry."""
-        from repro.config import resolve_executor
-
         registry = get_registry()
-        disk = self._store()
+        disk = self.store
         numbers: dict[str, object] = {
             "cache": self.cache.stats(),
-            "executor": resolve_executor(self.config.executor),
+            "executor": self.config.executor,
             "optimizer": {
                 "enabled": self.optimizer_enabled(),
                 "rewrites": registry.get("optimizer.rewrites"),

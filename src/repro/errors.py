@@ -36,10 +36,6 @@ class NonLinearTermError(FormulaError):
     """Raised when a term that must stay linear would become non-linear."""
 
 
-class FreeVariableError(FormulaError):
-    """Raised when a formula has unexpected free variables."""
-
-
 class ParseError(ReproError):
     """Raised by the constraint and query parsers on malformed input."""
 
@@ -59,20 +55,6 @@ class EvaluationError(ReproError):
 
 class UnboundVariableError(EvaluationError):
     """Raised when evaluation encounters a variable missing from the scope."""
-
-
-class ClosureError(EvaluationError):
-    """Raised when an operation would leave the linear-constraint class."""
-
-
-class RBitError(EvaluationError):
-    """Raised when the rBIT operator's precondition fails.
-
-    The operator requires its sub-formula to define exactly one rational
-    number for a given interpretation of the free region variables; per the
-    paper the result is the empty set in that case, so this exception is
-    internal and converted to an empty answer by the evaluator.
-    """
 
 
 class CaptureError(ReproError):

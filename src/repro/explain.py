@@ -408,7 +408,7 @@ def _predict_setup(engine: "QueryEngine") -> dict[str, str]:
     if engine.cache.peek_arrangement(relation):
         prediction["arrangement"] = "engine-cache"
         return prediction
-    disk = engine._store()
+    disk = engine.store
     if disk is not None and engine.decomposition == "arrangement":
         from repro import store as store_pkg
         from repro.arrangement.hyperplanes import hyperplanes_of_relation
@@ -633,14 +633,10 @@ def _attach_optimizer_decisions(
 
 
 def _resolved_knobs(engine: "QueryEngine") -> dict[str, Any]:
-    """The runtime knobs the engine runs under, each resolved
-    explicit > environment > default."""
-    from repro.config import resolve_executor
-    from repro.geometry import fastlp
-
+    """The runtime knobs the engine runs under (its config's fields)."""
     return {
-        "lp_mode": engine.lp_mode or fastlp.get_lp_mode(),
-        "executor": resolve_executor(engine.config.executor),
+        "lp_mode": engine.lp_mode,
+        "executor": engine.config.executor,
     }
 
 
@@ -771,17 +767,14 @@ def explain_datalog(
     to the run totals exactly (the PR-5 invariant); per-stage delta
     disjunct counts (``datalog.stage`` events) attach to the strata.
     """
-    from repro.config import resolve_executor, resolve_optimizer
+    from repro.config import EngineConfig
 
-    resolved = (
-        resolve_executor(executor)
-        if strategy == "seminaive"
-        else "interpreted"
-    )
+    knobs = EngineConfig(executor=executor, optimizer=optimizer)
+    resolved = knobs.executor if strategy == "seminaive" else "interpreted"
     # Reorder rule bodies up front (idempotent — evaluate_program
     # re-applies the same deterministic rewrite) so the compiled plans
     # below mirror exactly what executes.
-    optimizer_mode = resolve_optimizer(optimizer)
+    optimizer_mode = knobs.optimizer
     if optimizer_mode == "on":
         from repro.optimizer.rewrite import order_program
 
@@ -864,6 +857,7 @@ def explain_datalog(
                 max_stages=max_stages,
                 strategy=strategy,
                 executor=resolved,
+                optimizer=optimizer_mode,
             )
     finally:
         events = JOURNAL.stop() if own_journal else JOURNAL.events()

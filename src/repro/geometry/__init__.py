@@ -22,7 +22,7 @@ geometric machinery the paper's constructions rest on:
   rays, open or closed hulls) used by the Appendix-A decomposition.
 """
 
-from repro.geometry.fastlp import get_lp_mode, lp_mode, set_lp_mode
+from repro.geometry.fastlp import get_lp_mode, lp_mode
 from repro.geometry.fourier_motzkin import LinearConstraint, Rel, eliminate_variable
 from repro.geometry.hyperplane import Halfspace, Hyperplane, Side
 from repro.geometry.linalg import (
@@ -62,7 +62,6 @@ __all__ = [
     "LPStatus",
     "get_lp_mode",
     "lp_mode",
-    "set_lp_mode",
     "solve_lp",
     "VPolyhedron",
     "extreme_rays",

@@ -30,11 +30,15 @@ direction use the exact interval solver, and only genuinely
 tableau is fed from the cached coprime-integer row form
 (:meth:`LinearConstraint.integer_form`), row-scaled into ``[-1, 1]``.
 
-The mode switch (``exact`` disables the filter entirely) is resolved
-from :func:`set_lp_mode` / the ``REPRO_LP_MODE`` environment variable,
-defaulting to ``filtered``; ``QueryEngine(db,
-config=EngineConfig(lp_mode=...))`` and the CLI's ``--lp-mode`` scope it
-per run via the :func:`lp_mode` context manager.
+The mode switch (``exact`` disables the filter entirely) is
+:func:`get_lp_mode`: the innermost :func:`lp_mode` scope of the current
+context, else the ``REPRO_LP_MODE`` environment variable, else
+``filtered``.  This module is the one reader of that variable;
+:class:`~repro.config.EngineConfig` takes its ``lp_mode`` default from
+here when it is built, and ``QueryEngine`` runs every evaluation inside
+``lp_mode(config.lp_mode)``.  The scope is a :class:`~contextvars.
+ContextVar`, so engines pinned to different tiers on concurrent threads
+never see each other's mode.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -98,45 +103,45 @@ ExactOracle = Callable[[tuple[LinearConstraint, ...], int], Vector | None]
 # Mode resolution
 
 
-_MODE: str | None = None
+#: Environment variable naming the default LP mode.
+ENV_LP_MODE = "REPRO_LP_MODE"
+
+#: The innermost :func:`lp_mode` scope of this context (``None`` = no
+#: scope open).  ``asyncio.to_thread`` copies the context, so a scope
+#: entered around a worker call is seen inside it and nowhere else.
+_MODE: ContextVar[str | None] = ContextVar("repro_lp_mode", default=None)
 
 
 def get_lp_mode() -> str:
-    """The active LP mode: an explicit override, else ``REPRO_LP_MODE``,
-    else ``"filtered"``."""
-    if _MODE is not None:
-        return _MODE
-    env = os.environ.get("REPRO_LP_MODE", "").strip().lower()
+    """The LP mode in effect: the innermost :func:`lp_mode` scope of
+    this context, else ``REPRO_LP_MODE``, else ``"filtered"``."""
+    mode = _MODE.get()
+    if mode is not None:
+        return mode
+    env = os.environ.get(ENV_LP_MODE, "").strip().lower()
     if not env:
         return "filtered"
     if env not in LP_MODES:
         raise ValueError(
-            f"REPRO_LP_MODE must be one of {LP_MODES}, got {env!r}"
+            f"{ENV_LP_MODE} must be one of {LP_MODES}, got {env!r}"
         )
     return env
 
 
-def set_lp_mode(mode: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide LP mode override."""
-    global _MODE
-    if mode is not None and mode not in LP_MODES:
-        raise ValueError(f"lp_mode must be one of {LP_MODES}, got {mode!r}")
-    _MODE = mode
-
-
 @contextmanager
 def lp_mode(mode: str | None) -> Iterator[None]:
-    """Scoped LP mode override; ``None`` is a no-op (inherit)."""
+    """Run the body under ``mode`` in this context; ``None`` is a no-op
+    (inherit)."""
     if mode is None:
         yield
         return
-    global _MODE
-    previous = _MODE
-    set_lp_mode(mode)
+    if mode not in LP_MODES:
+        raise ValueError(f"lp_mode must be one of {LP_MODES}, got {mode!r}")
+    token = _MODE.set(mode)
     try:
         yield
     finally:
-        _MODE = previous
+        _MODE.reset(token)
 
 
 def filter_enabled() -> bool:

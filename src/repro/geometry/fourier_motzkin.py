@@ -43,10 +43,6 @@ class Rel(enum.Enum):
     LT = "<"
     EQ = "="
 
-    @property
-    def is_strict(self) -> bool:
-        return self is Rel.LT
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

@@ -117,27 +117,6 @@ def vec_midpoint(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple((a + b) * half for a, b in zip(u, v))
 
 
-def convex_combination(
-    points: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]
-) -> Vector:
-    """The point ``sum(w_i * p_i)`` for weights summing to one.
-
-    Raises :class:`ValueError` when the weights do not sum to one — the
-    caller asked for a convex (affine) combination, so a silent drift would
-    hide a logic error.
-    """
-    if len(points) != len(weights):
-        raise DimensionMismatchError("one weight per point is required")
-    if sum(weights, ZERO) != 1:
-        raise ValueError("convex combination weights must sum to 1")
-    if not points:
-        raise ValueError("convex combination of an empty point set")
-    result = zero_vector(len(points[0]))
-    for point, weight in zip(points, weights):
-        result = vec_add(result, vec_scale(weight, point))
-    return result
-
-
 def _check_same_dim(u: Sequence[Fraction], v: Sequence[Fraction]) -> None:
     if len(u) != len(v):
         raise DimensionMismatchError(

@@ -221,50 +221,6 @@ class VPolyhedron:
         system.append(LinearConstraint(t_high, t_bound, ONE))
         return strict_feasible_point(system) is not None
 
-    def meets_constraints(
-        self, constraints: "Sequence[LinearConstraint]"
-    ) -> bool:
-        """Does the hull intersect an H-polyhedron?
-
-        A constraint ``a . x REL b`` applied to the hull point
-        ``x = Σ λ_i p_i + Σ μ_j r_j`` is linear in (λ, μ), so intersection
-        is one exact LP over the generator coefficients.
-        """
-        n_points = len(self.points)
-        n_rays = len(self.rays)
-        total = n_points + n_rays
-        system = self._membership_system_free()
-        for row in constraints:
-            if row.dimension != self.dimension:
-                raise GeometryError("constraint dimension mismatch")
-            coeffs = tuple(
-                sum(
-                    (row.coeffs[axis] * gen[axis]
-                     for axis in range(self.dimension)),
-                    ZERO,
-                )
-                for gen in (*self.points, *self.rays)
-            )
-            assert len(coeffs) == total
-            system.append(LinearConstraint(coeffs, row.rel, row.rhs))
-        return strict_feasible_point(system) is not None
-
-    def _membership_system_free(self) -> list[LinearConstraint]:
-        """The (λ, μ) simplex constraints without a target point."""
-        n_points = len(self.points)
-        n_rays = len(self.rays)
-        total = n_points + n_rays
-        system: list[LinearConstraint] = [
-            LinearConstraint(
-                (ONE,) * n_points + (ZERO,) * n_rays, Rel.EQ, ONE
-            )
-        ]
-        bound = Rel.LT if self.open_hull else Rel.LE
-        for j in range(total):
-            coeffs = tuple(-ONE if i == j else ZERO for i in range(total))
-            system.append(LinearConstraint(coeffs, bound, ZERO))
-        return system
-
     def generator_key(self) -> tuple:
         """Canonical identity key (sorted points, sorted primitive rays)."""
         return (self.points, self.rays, self.open_hull)

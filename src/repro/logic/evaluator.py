@@ -132,15 +132,16 @@ class Evaluator:
         metrics: MetricsRegistry | None = None,
         executor: str | None = None,
     ) -> None:
-        from repro.config import resolve_executor
+        from repro.config import EngineConfig
 
         self.extension = extension
         #: How fixpoint stage bodies are evaluated: ``"compiled"`` runs
         #: each candidate through a compiled boolean skeleton
         #: (:mod:`repro.ir.ground`) when the body fits the fragment,
         #: ``"interpreted"`` always uses :meth:`truth`.  Both produce
-        #: identical stage sets; ``None`` defers to ``REPRO_EXECUTOR``.
-        self.executor = resolve_executor(executor)
+        #: identical stage sets; ``None`` resolves it here, once, through
+        #: :class:`~repro.config.EngineConfig`.
+        self.executor = EngineConfig(executor=executor).executor
         self._memo: dict[tuple, ConstraintRelation] = {}
         self._tc_memo: dict[_StructuralKey, set] = {}
         self._fixpoint_memo: dict[tuple, FixpointRun] = {}

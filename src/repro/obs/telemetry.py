@@ -9,7 +9,9 @@ layer on top of the same registry idiom:
   exact ``count``/``sum``; quantiles are computed from the exposed
   ``_bucket`` series by whoever scrapes them;
 * :class:`TelemetryRegistry` — families of histograms keyed by name
-  plus an optional **low-cardinality** label set.  Only the label
+  plus an optional **low-cardinality** label set; a family has one
+  bucket layout, which :meth:`TelemetryRegistry.require_bound` can
+  extend while its series are still empty.  Only the label
   keys in :data:`ALLOWED_LABELS` (``tenant``, ``endpoint``,
   ``executor``, ``lp_mode``) are accepted, and a family folds into its
   unlabeled aggregate series once it holds :data:`MAX_SERIES_PER_NAME`
@@ -115,10 +117,11 @@ class Histogram:
         # speed); a value past the last bound lands on the overflow
         # slot.  This is the hot path — one bisect, one lock, three
         # increments — and the E2 overhead measurement in
-        # docs/OBSERVABILITY.md holds it to the ≤2 % budget.
-        index = bisect_left(self.buckets, value)
+        # docs/OBSERVABILITY.md holds it to the ≤2 % budget.  The
+        # bisect is under the lock so :meth:`rebucket` cannot move the
+        # bounds between it and the increment.
         with self._lock:
-            self._counts[index] += 1
+            self._counts[bisect_left(self.buckets, value)] += 1
             self.count += 1
             self.sum += value
 
@@ -148,11 +151,28 @@ class Histogram:
             self.count = 0
             self.sum = 0.0
 
+    def rebucket(self, buckets: Sequence[float]) -> None:
+        """Switch an empty series to another bucket layout; a series
+        holding observations cannot be split and raises
+        :class:`BucketLayoutError`."""
+        with self._lock:
+            if self.count:
+                raise BucketLayoutError(
+                    f"{self.name}{_label_suffix(self.labels)} already "
+                    f"holds {self.count} observations under other buckets"
+                )
+            self.buckets = tuple(buckets)
+            self._counts = [0] * (len(self.buckets) + 1)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Histogram({self.name}{_label_suffix(self.labels)} "
             f"count={self.count} sum={self.sum:.6g})"
         )
+
+
+class BucketLayoutError(ValueError):
+    """A histogram family cannot take a new bucket bound exactly."""
 
 
 class TelemetryRegistry:
@@ -169,6 +189,8 @@ class TelemetryRegistry:
     def __init__(self) -> None:
         self._histograms: dict[str, Histogram] = {}
         self._family_sizes: dict[str, int] = {}
+        #: Bucket layouts of the families :meth:`require_bound` extended.
+        self._layouts: dict[str, tuple[float, ...]] = {}
         self._lock = threading.Lock()
 
     def _series_key(self, name: str, labels: tuple[tuple[str, str], ...]) -> str:
@@ -192,17 +214,39 @@ class TelemetryRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
         """The histogram series for this name + label set, created on
-        first use (``buckets`` applies to the call that creates it)."""
+        first use (with the family's required layout if it has one,
+        else ``buckets``)."""
         canonical = _check_labels(labels)
         with self._lock:
             canonical = self._admit_labels(name, canonical)
             key = self._series_key(name, canonical)
             series = self._histograms.get(key)
             if series is None:
-                series = Histogram(name, canonical, buckets)
+                series = Histogram(
+                    name, canonical, self._layouts.get(name, buckets)
+                )
                 self._histograms[key] = series
                 self._family_sizes[name] = self._family_sizes.get(name, 0) + 1
             return series
+
+    def require_bound(self, name: str, bound: float) -> None:
+        """Make ``bound`` a bucket bound of every series of ``name``.
+
+        The family's layout becomes the default buckets plus every bound
+        required so far, so a read at any of them is exact for every
+        caller sharing this registry.  Existing series are re-bucketed
+        while still empty; one that already holds observations lacking
+        the bound raises :class:`BucketLayoutError`.
+        """
+        bound = float(bound)
+        with self._lock:
+            layout = tuple(sorted(
+                {*self._layouts.get(name, DEFAULT_BUCKETS), bound}
+            ))
+            for series in self._histograms.values():
+                if series.name == name and bound not in series.buckets:
+                    series.rebucket(layout)
+            self._layouts[name] = layout
 
     def histograms(self) -> list[Histogram]:
         with self._lock:

@@ -74,9 +74,6 @@ class RewriteOutcome:
     formula: ast.RegFormula
     decisions: list[Decision]
 
-    def decisions_for(self, node: object) -> list[Decision]:
-        return [d for d in self.decisions if d.node is node]
-
 
 def rewrite_query(
     formula: ast.RegFormula,

@@ -35,7 +35,7 @@ class EnginePool:
         self.config = config
         #: The shared cross-engine cache (explicit — never the implicit
         #: process-global one).
-        self.cache = cache if cache is not None else config.make_cache(
+        self.cache = cache if cache is not None else EngineCache(
             metrics=metrics
         )
         self.max_idle_per_key = max_idle_per_key

@@ -54,22 +54,14 @@ from bisect import bisect_left
 from typing import Any, Awaitable, Callable, Mapping
 
 from repro.errors import ReproError
-from repro.config import (
-    EngineConfig,
-    resolve_executor,
-    resolve_optimizer,
-    resolve_slo_latency_ms,
-    resolve_slow_log,
-)
+from repro.config import EngineConfig
 from repro.constraints.database import ConstraintDatabase
 from repro.engine import QueryEngine
 from repro.incremental import Delta, delta_op, make_delta
-from repro.geometry import fastlp
 from repro.obs.journal import JOURNAL, journal_context
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.telemetry import (
-    DEFAULT_BUCKETS,
     TelemetryRegistry,
     get_telemetry,
     render_prometheus,
@@ -87,6 +79,10 @@ TENANT_HEADER = "x-repro-tenant"
 
 #: Cap on sample witness points returned per answer.
 SAMPLE_POINTS = 5
+
+#: Slow-query captures waiting or running at once; a slow request past
+#: the cap is counted in ``server.slow_query_captures_dropped`` instead.
+MAX_PENDING_CAPTURES = 16
 
 
 class ConstraintService:
@@ -109,7 +105,7 @@ class ConstraintService:
     ) -> None:
         if not databases:
             raise ValueError("the service needs at least one database")
-        self.config = config if config is not None else EngineConfig.resolve()
+        self.config = config if config is not None else EngineConfig()
         self.databases = dict(databases)
         if "default" not in self.databases:
             first = next(iter(self.databases))
@@ -147,21 +143,20 @@ class ConstraintService:
             telemetry if telemetry is not None else get_telemetry()
         )
         #: The latency objective: a bucket bound of the request
-        #: histogram (so breaches read off it exactly) and the
+        #: histogram (so breaches read off it exactly, also on a
+        #: registry shared with services of other objectives) and the
         #: slow-query capture threshold.
-        self.slo_latency_ms = resolve_slo_latency_ms(
-            self.config.slo_latency_ms
-        )
+        self.slo_latency_ms = self.config.slo_latency_ms
         self._slo_bound_s = self.slo_latency_ms / 1000.0
-        self._request_buckets = tuple(
-            sorted(set(DEFAULT_BUCKETS) | {self._slo_bound_s})
+        self.telemetry.require_bound(
+            "server.request_seconds", self._slo_bound_s
         )
         #: Requests inside :meth:`handle` right now (the event loop is
         #: single-threaded, so a plain int is exact).
         self.inflight_requests = 0
-        slow_path = resolve_slow_log(self.config.slow_log)
         self.slow_log = (
-            SlowQueryLog(slow_path) if slow_path is not None else None
+            SlowQueryLog(self.config.slow_log)
+            if self.config.slow_log is not None else None
         )
         #: Slow-query captures still running; they are off the response
         #: path, and :meth:`drain_captures` awaits them.
@@ -241,7 +236,7 @@ class ConstraintService:
                     ),
                 }
                 self.telemetry.histogram(
-                    "server.request_seconds", labels, self._request_buckets
+                    "server.request_seconds", labels
                 ).observe(wall_s)
                 if JOURNAL.enabled:
                     JOURNAL.emit(
@@ -361,18 +356,23 @@ class ConstraintService:
                 wall_ms = (time.perf_counter() - started) * 1000
             finally:
                 self.pool.checkin(engine)
-        executor = resolve_executor(self.config.executor)
+        executor = self.config.executor
         if JOURNAL.enabled:
             JOURNAL.emit(
                 "query.answered", id=request_id, database=name,
                 executor=executor, wall_ms=round(wall_ms, 3),
             )
         if self.slow_log is not None and wall_ms >= self.slo_latency_ms:
-            capture = asyncio.ensure_future(self._capture_slow_query(
-                request_id, tenant, name, text, wall_ms
-            ))
-            self._captures.add(capture)
-            capture.add_done_callback(self._captures.discard)
+            if len(self._captures) >= MAX_PENDING_CAPTURES:
+                self._registry.counter(
+                    "server.slow_query_captures_dropped"
+                ).inc()
+            else:
+                capture = asyncio.ensure_future(self._capture_slow_query(
+                    request_id, tenant, name, text, wall_ms
+                ))
+                self._captures.add(capture)
+                capture.add_done_callback(self._captures.discard)
         payload: dict[str, Any] = {
             "request_id": request_id,
             "database": name,
@@ -477,8 +477,8 @@ class ConstraintService:
         payload = result.to_dict()
         payload["request_id"] = request_id
         payload["database"] = name
-        payload["executor"] = resolve_executor(self.config.executor)
-        payload["optimizer"] = resolve_optimizer(self.config.optimizer)
+        payload["executor"] = self.config.executor
+        payload["optimizer"] = self.config.optimizer
         return Response(200, payload)
 
     @staticmethod
@@ -601,9 +601,9 @@ class ConstraintService:
                 "build_coalesced": self._c_build_waits.value,
             },
             "config": self.config.describe(),
-            "lp_mode": self.config.lp_mode or fastlp.get_lp_mode(),
-            "executor": resolve_executor(self.config.executor),
-            "optimizer": resolve_optimizer(self.config.optimizer),
+            "lp_mode": self.config.lp_mode,
+            "executor": self.config.executor,
+            "optimizer": self.config.optimizer,
             "admission": self.admission.stats(),
             "pool": self.pool.stats(),
             "store": store.stats() if store is not None else None,
@@ -621,6 +621,9 @@ class ConstraintService:
                 ),
                 "threshold_ms": self.slo_latency_ms,
                 "records": self._registry.get("server.slow_queries"),
+                "dropped": self._registry.get(
+                    "server.slow_query_captures_dropped"
+                ),
             },
             "metrics": self._registry.snapshot(),
         })
@@ -628,13 +631,11 @@ class ConstraintService:
     def _slo_stats(self) -> dict[str, Any]:
         """Per-tenant requests and objective breaches, exact.
 
-        Read off ``server.request_seconds``: the objective is one of its
-        bucket bounds, so the requests slower than it are the series'
-        count minus its cumulative count at that bound.  Tenants past
-        the family cap share the unlabeled series, reported as ``"*"``.
-        A series minted first by another service on the same registry
-        with another objective lacks this bound; it is read at its
-        first bound above the objective, which can miss breaches.
+        Read off ``server.request_seconds``: the objective is a bucket
+        bound of every series of the family (required at construction),
+        so the requests slower than it are the series' count minus its
+        cumulative count at that bound.  Tenants past the family cap
+        share the unlabeled series, reported as ``"*"``.
         """
         tenants: dict[str, dict[str, int]] = {}
         for series in self.telemetry.histograms():

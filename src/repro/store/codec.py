@@ -24,13 +24,12 @@ JSON (sorted keys, no whitespace, ASCII) wrapped in an *envelope*::
 
 Supported kinds: ``"arrangement"`` (:class:`~repro.arrangement.builder.
 Arrangement` — hyperplanes, faces with exact witness points, the
-defining relation), ``"relation"`` (:class:`~repro.constraints.
-relation.ConstraintRelation` — schema plus the full formula AST, the
-form arrangements and lineage records embed their relations in) and
-``"lineage"`` (:class:`~repro.store.lineage.LineageRecord` — one
-version edge of an updated database).  Formulas are encoded
-structurally (tagged nodes), not as source text, so the round-trip
-does not depend on parser conventions.
+defining relation) and ``"lineage"`` (:class:`~repro.store.lineage.
+LineageRecord` — one version edge of an updated database).  Both nest
+their relations (:class:`~repro.constraints.relation.
+ConstraintRelation`) in one form: the schema plus the full formula
+AST.  Formulas are encoded structurally (tagged nodes), not as source
+text, so the round-trip does not depend on parser conventions.
 """
 
 from __future__ import annotations
@@ -67,13 +66,13 @@ from repro.store.lineage import LineageRecord
 #: store) instead of being decoded with the wrong reader.  Adding the
 #: ``lineage`` kind did not bump it: existing kinds' payloads are
 #: untouched, and unknown-kind entries were already rejected by name.
-#: Nor did dropping the ``statistics`` kind, or the query answers once
-#: filed as ``relation`` entries: nothing reads or writes such entries
-#: any more, and they age out under the store's budget.
+#: Nor did dropping the ``statistics`` and ``relation`` kinds: nothing
+#: reads or writes such entries any more, and they age out under the
+#: store's budget.
 SCHEMA_VERSION = 1
 
 #: The artifact kinds the codec understands.
-KINDS = ("arrangement", "relation", "lineage")
+KINDS = ("arrangement", "lineage")
 
 
 class CodecError(ReproError):
@@ -379,12 +378,10 @@ def _dec_lineage(value: Any) -> LineageRecord:
 
 _ENCODERS = {
     "arrangement": (_enc_arrangement, Arrangement),
-    "relation": (_enc_relation, ConstraintRelation),
     "lineage": (_enc_lineage, LineageRecord),
 }
 _DECODERS = {
     "arrangement": _dec_arrangement,
-    "relation": _dec_relation,
     "lineage": _dec_lineage,
 }
 

@@ -1,9 +1,8 @@
 """EngineConfig: the one documented resolution order for every knob.
 
-``EngineConfig.resolve`` pins **explicit argument > environment >
-default** once, at construction; a plain ``EngineConfig(...)`` keeps
-``None`` fields unresolved (environment consulted at use time), which
-is what ``QueryEngine(db)`` builds when given no config.
+Building an ``EngineConfig`` applies **explicit argument > environment
+> default** once, so ``EngineConfig(**kw) == EngineConfig.resolve(**kw)``
+and a built config never reads the environment again.
 """
 
 from __future__ import annotations
@@ -15,19 +14,23 @@ import pytest
 
 from repro import ConstraintDatabase, QueryEngine, parse_formula
 from repro.config import (
+    DEFAULT_SLO_LATENCY_MS,
     ENV_CACHE_BUDGET,
     ENV_CACHE_DIR,
-    ENV_JOURNAL,
+    ENV_EXECUTOR,
     ENV_LP_MODE,
+    ENV_OPTIMIZER,
+    ENV_SLO_LATENCY_MS,
+    ENV_SLOW_LOG,
     EngineConfig,
-    resolve_slo_latency_ms,
 )
-from repro.engine import DEFAULT_CACHE_CAPACITY
+from repro.geometry import fastlp
+from repro.obs.journal import ENV_JOURNAL
 
 #: The whole configuration surface, in declaration order.
 CONFIG_FIELDS = [
     "lp_mode", "jobs", "executor", "cache_dir", "cache_budget",
-    "journal", "optimizer", "slow_log", "slo_latency_ms",
+    "optimizer", "slow_log", "slo_latency_ms",
 ]
 
 #: The removed worker-count knob's environment variable.
@@ -36,8 +39,9 @@ ENV_JOBS = "REPRO_JOBS"
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    for name in (ENV_LP_MODE, ENV_JOBS, ENV_CACHE_DIR,
-                 ENV_CACHE_BUDGET, ENV_JOURNAL):
+    for name in (ENV_LP_MODE, ENV_JOBS, ENV_CACHE_DIR, ENV_CACHE_BUDGET,
+                 ENV_JOURNAL, ENV_EXECUTOR, ENV_OPTIMIZER, ENV_SLOW_LOG,
+                 ENV_SLO_LATENCY_MS):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -48,7 +52,7 @@ def test_resolve_defaults(clean_env):
     assert config.jobs == 1
     assert config.cache_dir is None
     assert config.cache_budget is None
-    assert config.journal is None
+    assert config.slo_latency_ms == DEFAULT_SLO_LATENCY_MS
     assert [f.name for f in dataclasses.fields(EngineConfig)] == CONFIG_FIELDS
     # ``jobs`` only accepts 1, so the description leaves it out.
     assert list(config.describe()) == [
@@ -62,12 +66,21 @@ def test_resolve_reads_environment(clean_env, tmp_path):
     clean_env.setenv(ENV_CACHE_DIR, str(tmp_path))
     clean_env.setenv(ENV_CACHE_BUDGET, "4096")
     clean_env.setenv(ENV_JOURNAL, "events.jsonl")
+    clean_env.setenv(ENV_EXECUTOR, "interpreted")
+    clean_env.setenv(ENV_OPTIMIZER, "off")
+    clean_env.setenv(ENV_SLOW_LOG, "slow.jsonl")
+    clean_env.setenv(ENV_SLO_LATENCY_MS, "75")
     config = EngineConfig.resolve()
     assert config.lp_mode == "exact"
     assert config.jobs == 1  # REPRO_JOBS is no longer read
     assert config.cache_dir == str(tmp_path)
     assert config.cache_budget == 4096
-    assert config.journal == "events.jsonl"
+    assert config.executor == "interpreted"
+    assert config.optimizer == "off"
+    assert config.slow_log == "slow.jsonl"
+    assert config.slo_latency_ms == 75.0
+    # The journal is the CLI's business, not a config field.
+    assert "journal" not in config.describe()
     # Variables of removed knobs are not read at all.
     clean_env.setenv("REPRO_BACKEND", "sqlite")
     clean_env.setenv("REPRO_METRICS_LABELS", "off")
@@ -85,10 +98,41 @@ def test_explicit_argument_beats_environment(clean_env, tmp_path):
 
 
 def test_resolve_pins_once(clean_env):
-    """A resolved config never re-reads the environment."""
+    """A built config never re-reads the environment."""
     config = EngineConfig.resolve()
+    plain = EngineConfig()
     clean_env.setenv(ENV_LP_MODE, "exact")
     assert config.lp_mode == "filtered"
+    assert plain.lp_mode == "filtered"
+
+
+def test_construction_resolves_every_field(clean_env, tmp_path):
+    """No deferred tier: the constructor is the resolver."""
+    clean_env.setenv(ENV_CACHE_DIR, str(tmp_path))
+    clean_env.setenv(ENV_EXECUTOR, "interpreted")
+    for overrides in ({}, {"lp_mode": "exact"}, {"optimizer": "off"},
+                      {"cache_dir": str(tmp_path / "other")}):
+        built = EngineConfig(**overrides)
+        assert built == EngineConfig.resolve(**overrides)
+        for name in ("lp_mode", "jobs", "executor", "optimizer",
+                     "slo_latency_ms", "cache_dir"):
+            assert getattr(built, name) is not None, name
+    assert EngineConfig().executor == "interpreted"
+    assert EngineConfig().cache_dir == str(tmp_path)
+    # The optional resources resolve to None = off, not "ask later".
+    clean_env.delenv(ENV_CACHE_DIR)
+    config = EngineConfig()
+    clean_env.setenv(ENV_CACHE_DIR, str(tmp_path))
+    assert config.cache_dir is None and config.store() is None
+    with pytest.raises(TypeError):
+        EngineConfig(journal="events.jsonl")
+
+
+def test_lp_mode_default_follows_enclosing_scope(clean_env):
+    with fastlp.lp_mode("exact"):
+        assert EngineConfig().lp_mode == "exact"
+        assert EngineConfig(lp_mode="filtered").lp_mode == "filtered"
+    assert EngineConfig().lp_mode == "filtered"
 
 
 def test_frozen_and_with_overrides(clean_env):
@@ -121,7 +165,7 @@ def test_validation_matches_engine_contract(clean_env):
         with pytest.raises(ValueError, match="jobs must be 1"):
             EngineConfig(jobs=jobs)
     assert EngineConfig(jobs=1).jobs == 1
-    assert EngineConfig().jobs is None
+    assert EngineConfig().jobs == 1
     with pytest.raises(ValueError, match="cache_budget must be positive"):
         EngineConfig(cache_budget=-1)
 
@@ -130,9 +174,13 @@ def test_slo_objective_must_be_positive(clean_env):
     for latency in (0, -10.0):
         with pytest.raises(ValueError, match="slo_latency_ms must be positive"):
             EngineConfig(slo_latency_ms=latency)
-        with pytest.raises(ValueError, match="slo_latency_ms must be positive"):
-            resolve_slo_latency_ms(latency)
-    assert resolve_slo_latency_ms(10) == 10.0
+    assert EngineConfig(slo_latency_ms=10).slo_latency_ms == 10.0
+    # A non-positive environment value is ignored, a malformed one named.
+    clean_env.setenv(ENV_SLO_LATENCY_MS, "-5")
+    assert EngineConfig().slo_latency_ms == DEFAULT_SLO_LATENCY_MS
+    clean_env.setenv(ENV_SLO_LATENCY_MS, "fast")
+    with pytest.raises(ValueError, match=ENV_SLO_LATENCY_MS):
+        EngineConfig()
 
 
 def _interval_db() -> ConstraintDatabase:
@@ -159,12 +207,6 @@ def test_store_pins_explicit_budget(clean_env, tmp_path):
     assert store.size_budget == 1 << 20
 
 
-def test_make_cache_honours_capacity(clean_env):
-    config = EngineConfig.resolve()
-    cache = config.make_cache()
-    assert cache.capacity == DEFAULT_CACHE_CAPACITY
-
-
 def test_describe_is_json_ready(clean_env, tmp_path):
     import json
 
@@ -175,29 +217,25 @@ def test_describe_is_json_ready(clean_env, tmp_path):
 
 
 def test_resolve_executor_precedence(clean_env):
-    from repro.config import ENV_EXECUTOR, EXECUTORS, resolve_executor
+    from repro.config import EXECUTORS
 
-    clean_env.delenv(ENV_EXECUTOR, raising=False)
     assert EXECUTORS == ("compiled", "interpreted")
     # Defaults.
-    assert resolve_executor() == "compiled"
+    assert EngineConfig().executor == "compiled"
     # Environment beats the default (case/whitespace normalised).
     clean_env.setenv(ENV_EXECUTOR, " Interpreted ")
-    assert resolve_executor() == "interpreted"
+    assert EngineConfig().executor == "interpreted"
     # Explicit argument beats the environment.
-    assert resolve_executor("compiled") == "compiled"
+    assert EngineConfig(executor="compiled").executor == "compiled"
     # Invalid values are rejected from every source.
     with pytest.raises(ValueError, match="executor must be one of"):
-        resolve_executor("jitted")
+        EngineConfig(executor="jitted")
     clean_env.setenv(ENV_EXECUTOR, "jitted")
     with pytest.raises(ValueError, match="executor must be one of"):
-        resolve_executor()
+        EngineConfig()
 
 
 def test_config_resolves_and_describes_executor(clean_env):
-    from repro.config import ENV_EXECUTOR
-
-    clean_env.delenv(ENV_EXECUTOR, raising=False)
     config = EngineConfig.resolve()
     assert config.executor == "compiled"
     pinned = EngineConfig.resolve(executor="interpreted")
@@ -213,9 +251,6 @@ def test_config_resolves_and_describes_executor(clean_env):
 
 
 def test_engine_stats_report_executor(clean_env):
-    from repro.config import ENV_EXECUTOR
-
-    clean_env.delenv(ENV_EXECUTOR, raising=False)
     engine = QueryEngine(
         _interval_db(),
         config=EngineConfig.resolve(executor="interpreted"),
@@ -232,7 +267,6 @@ def test_explain_lists_only_kept_knobs(clean_env, tmp_path):
     from repro.cli import main
     from repro.constraints.io import save_database
 
-    clean_env.delenv("REPRO_OPTIMIZER", raising=False)
     path = tmp_path / "db.cdb"
     save_database(_interval_db(), path)
     buffer = io.StringIO()

@@ -271,7 +271,7 @@ class TestAnswerCache:
     def test_repeat_without_store_is_remembered(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         engine = QueryEngine(interval_db(), cache=fresh_cache())
-        assert engine._store() is None
+        assert engine.store is None
         query = "S(x) & x < 1"
         assert engine.explain(query).plan.detail["result"] == "compute"
         first = engine.evaluate(query)

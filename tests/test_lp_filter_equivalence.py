@@ -242,4 +242,54 @@ class TestModesAreIndistinguishable:
                 assert fastlp.get_lp_mode() == "filtered"
             assert fastlp.get_lp_mode() == "exact"
         with pytest.raises(ValueError):
-            fastlp.set_lp_mode("approximate")
+            with fastlp.lp_mode("approximate"):
+                pass
+
+
+def test_lp_mode_scopes_are_context_local(monkeypatch):
+    """Overlapping scopes on two threads each see only their own mode.
+
+    ``exact`` opens first and closes first, while a ``filtered`` scope is
+    open on the other thread.  A process-wide mode would show the exact
+    thread ``filtered`` and leave ``exact`` behind once both scopes had
+    closed; a context-local one does neither.
+    """
+    import asyncio
+    import threading
+
+    monkeypatch.delenv("REPRO_LP_MODE", raising=False)
+    exact_in, filtered_in, exact_out = (threading.Event() for __ in "abc")
+    seen: dict[str, str] = {}
+
+    def exact_thread() -> None:
+        with fastlp.lp_mode("exact"):
+            exact_in.set()
+            assert filtered_in.wait(timeout=10)
+            seen["exact"] = fastlp.get_lp_mode()
+        exact_out.set()
+
+    def filtered_thread() -> None:
+        assert exact_in.wait(timeout=10)
+        with fastlp.lp_mode("filtered"):
+            filtered_in.set()
+            seen["filtered"] = fastlp.get_lp_mode()
+            assert exact_out.wait(timeout=10)
+        seen["filtered after"] = fastlp.get_lp_mode()
+
+    threads = [threading.Thread(target=exact_thread),
+               threading.Thread(target=filtered_thread)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    assert seen == {
+        "exact": "exact", "filtered": "filtered",
+        "filtered after": "filtered",
+    }
+    monkeypatch.setenv("REPRO_LP_MODE", "exact")
+    assert fastlp.get_lp_mode() == "exact", "the environment is read again"
+    monkeypatch.setenv("REPRO_LP_MODE", "filtered")
+    # A scope entered around ``asyncio.to_thread`` reaches the worker.
+    with fastlp.lp_mode("exact"):
+        assert asyncio.run(asyncio.to_thread(fastlp.get_lp_mode)) == "exact"
+    assert fastlp.get_lp_mode() == "filtered"

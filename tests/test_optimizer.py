@@ -274,11 +274,13 @@ class TestEngineIntegration:
             "S(x) & (exists y. (S(y) & y <= x))",
             "exists y. S(y) & x0 - y <= 1/3 & y - x0 <= 1/3",
         ) + EQUIVALENCE_QUERIES[:3]
+        def answer_bytes(run, text):
+            return codec.canonical_json(codec._enc_relation(run.evaluate(text)))
+
         for text in texts:
-            first = codec.dumps("relation", one.evaluate(text))
-            second = codec.dumps("relation", two.evaluate(text))
-            assert second == first
-            assert codec.dumps("relation", unstored.evaluate(text)) == first
+            first = answer_bytes(one, text)
+            assert answer_bytes(two, text) == first
+            assert answer_bytes(unstored, text) == first
 
     def test_env_gate_disables_rewrites(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPTIMIZER", "off")
@@ -395,7 +397,9 @@ for text in (
     rows.append({
         "plan": str(plan),
         "decisions": [d.describe() for d in outcome.decisions],
-        "answer": hashlib.sha256(codec.dumps("relation", answer)).hexdigest(),
+        "answer": hashlib.sha256(
+            codec.canonical_json(codec._enc_relation(answer))
+        ).hexdigest(),
     })
 print(json.dumps(rows, sort_keys=True))
 """

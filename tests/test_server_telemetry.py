@@ -182,6 +182,35 @@ class TestSloStats:
             'tenant="acme",le="60"} 3'
         ) in text
 
+    def test_breaches_exact_on_a_shared_registry(self):
+        """Two objectives on one registry: each is read exactly."""
+        telemetry = TelemetryRegistry()
+        loose = _service(config=EngineConfig(slo_latency_ms=250.0),
+                         telemetry=telemetry)
+        tight = _service(config=EngineConfig(slo_latency_ms=100.0),
+                         telemetry=telemetry)
+        telemetry.histogram(
+            "server.request_seconds",
+            {"tenant": "acme", "endpoint": "/v1/query"},
+        ).observe(0.101)
+
+        def acme(service):
+            response = _call(service, _request("GET", "/v1/stats"))
+            return response.payload["slo"]["tenants"]["acme"]
+
+        assert acme(tight) == {"requests": 1, "breaches": 1}
+        assert acme(loose) == {"requests": 1, "breaches": 0}
+        # A third objective cannot be read exactly off series that
+        # already hold observations: the service refuses to start.
+        from repro.obs.telemetry import BucketLayoutError
+
+        with pytest.raises(BucketLayoutError):
+            _service(config=EngineConfig(slo_latency_ms=50.0),
+                     telemetry=telemetry)
+        # Re-requiring a bound the family already has is free.
+        _service(config=EngineConfig(slo_latency_ms=100.0),
+                 telemetry=telemetry)
+
     def test_stats_slow_log_block_reflects_config(self, tmp_path):
         path = tmp_path / "slow.jsonl"
         service = _service(config=EngineConfig(slow_log=str(path)))
@@ -290,6 +319,37 @@ class TestSlowQueryCapture:
         assert response.status == 200
         [record] = load_slow_log(path)
         assert record["request_id"] == response.payload["request_id"]
+
+    def test_pending_captures_are_bounded(self, tmp_path):
+        from repro.server.service import MAX_PENDING_CAPTURES
+
+        metrics = MetricsRegistry()
+        service = self._slow_service(tmp_path, metrics=metrics)
+        extra = 3
+
+        async def run():
+            # Holding the explain lock keeps every capture pending.
+            async with service._explain_lock:
+                for __ in range(MAX_PENDING_CAPTURES + extra):
+                    response = await service.handle(_request(
+                        "POST", "/v1/query", b'{"query": "S(x0)"}'
+                    ))
+                    assert response.status == 200
+                pending = len(service._captures)
+                stats = await service.handle(_request("GET", "/v1/stats"))
+            await asyncio.wait_for(service.drain_captures(), timeout=120)
+            return pending, stats.payload["slow_log"]
+
+        pending, block = asyncio.run(run())
+        assert pending == MAX_PENDING_CAPTURES
+        assert metrics.counter(
+            "server.slow_query_captures_dropped"
+        ).value == extra
+        assert block["dropped"] == extra
+        assert len(load_slow_log(tmp_path / "slow.jsonl")) == (
+            MAX_PENDING_CAPTURES
+        )
+        assert not service._captures
 
     def test_serve_awaits_captures_on_shutdown(self, tmp_path):
         from repro.server import ServerThread, post_json

@@ -1,8 +1,11 @@
 """Property-based round-trips for the persistence codec.
 
 :mod:`repro.store.codec` promises *bit-identical* round-trips: for any
-relation or arrangement, ``loads(kind, dumps(kind, x))`` is structurally
-equal to ``x`` (same fingerprint, same re-encoded bytes).  Hypothesis
+arrangement or lineage record, ``loads(kind, dumps(kind, x))`` is
+structurally equal to ``x`` (same fingerprint, same re-encoded bytes).
+Relations have no top-level kind; they are checked in the form
+arrangements and lineage records nest them in (a snapshot record
+holding one relation).  Hypothesis
 generates relations over formulas with large-denominator ``Fraction``
 coefficients and random hyperplane arrangements; the arrangement tests
 run under both ``REPRO_LP_MODE`` tiers, since disk entries written in
@@ -24,6 +27,7 @@ from repro.constraints.terms import LinearTerm
 from repro.geometry import fastlp
 from repro.geometry.hyperplane import Hyperplane
 from repro.store import codec
+from repro.store.lineage import LineageRecord
 
 F = Fraction
 
@@ -83,16 +87,38 @@ planes = st.builds(
 ).filter(lambda plane: plane is not None)
 
 
+def _snapshot(relation: ConstraintRelation) -> LineageRecord:
+    """A snapshot lineage record nesting one relation."""
+    return LineageRecord(
+        parent="", child="c", seq=0, ops=(), snapshot=(("S", relation),)
+    )
+
+
+def _snapshot_payload(relation_payload) -> dict:
+    """A lineage payload nesting one (possibly malformed) relation."""
+    return {"parent": "", "child": "c", "seq": 0, "ops": [],
+            "snapshot": [["S", relation_payload]]}
+
+
+def dump_relation(relation: ConstraintRelation) -> bytes:
+    return codec.dumps("lineage", _snapshot(relation))
+
+
+def load_relation(data: bytes) -> ConstraintRelation:
+    ((__, relation),) = codec.loads("lineage", data).snapshot
+    return relation
+
+
 @settings(max_examples=60, deadline=None)
 @given(relations)
 def test_relation_roundtrip_is_bit_identical(relation):
-    data = codec.dumps("relation", relation)
-    back = codec.loads("relation", data)
+    data = dump_relation(relation)
+    back = load_relation(data)
     assert isinstance(back, ConstraintRelation)
     assert back.variables == relation.variables
     assert back.formula == relation.formula
     assert back.fingerprint() == relation.fingerprint()
-    assert codec.dumps("relation", back) == data
+    assert dump_relation(back) == data
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,9 +127,7 @@ def test_relation_encoding_is_deterministic(relation):
     # Same object, same bytes — and a structurally equal twin built from
     # the same parts serialises identically too.
     twin = ConstraintRelation.make(relation.variables, relation.formula)
-    assert codec.dumps("relation", relation) == codec.dumps(
-        "relation", twin
-    )
+    assert dump_relation(relation) == dump_relation(twin)
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,14 +135,14 @@ def test_relation_encoding_is_deterministic(relation):
 def test_spliced_envelope_matches_canonical_json(relation):
     # dumps encodes the payload once and splices it into the envelope;
     # the bytes must equal canonical JSON over the whole envelope dict.
-    payload = codec.encode("relation", relation)
+    payload = codec.encode("lineage", _snapshot(relation))
     envelope = {
         "schema": codec.SCHEMA_VERSION,
-        "kind": "relation",
-        "checksum": codec.checksum(codec.SCHEMA_VERSION, "relation", payload),
+        "kind": "lineage",
+        "checksum": codec.checksum(codec.SCHEMA_VERSION, "lineage", payload),
         "payload": payload,
     }
-    assert codec.dumps("relation", relation) == codec.canonical_json(envelope)
+    assert dump_relation(relation) == codec.canonical_json(envelope)
 
 
 @settings(max_examples=25, deadline=None)
@@ -163,7 +187,7 @@ def test_huge_denominators_survive():
             Atom(LinearTerm.make({"x": huge}, -huge / 3), Op.LE)
         ),
     )
-    back = codec.loads("relation", codec.dumps("relation", relation))
+    back = load_relation(dump_relation(relation))
     (atom,) = [a for a in back.formula.atoms()]
     assert dict(atom.term.coefficients)["x"] == huge
     assert atom.term.constant == -huge / 3
@@ -178,20 +202,18 @@ def test_quantifiers_and_constants_roundtrip():
     encoded = codec._enc_formula(quantified)
     assert codec._dec_formula(encoded) == quantified
     empty = ConstraintRelation.make(("x",), FALSE)
-    assert codec.loads(
-        "relation", codec.dumps("relation", empty)
-    ).formula == FALSE
+    assert load_relation(dump_relation(empty)).formula == FALSE
 
 
 def test_envelope_rejects_foreign_kind_and_junk():
     relation = ConstraintRelation.universe(("x",))
-    data = codec.dumps("relation", relation)
+    data = dump_relation(relation)
     with pytest.raises(codec.CodecError):
         codec.loads("arrangement", data)
     with pytest.raises(codec.CodecError):
-        codec.loads("relation", b"not json at all")
+        codec.loads("lineage", b"not json at all")
     with pytest.raises(codec.CodecError):
-        codec.loads("relation", b"[1,2,3]")
+        codec.loads("lineage", b"[1,2,3]")
     with pytest.raises(codec.CodecError):
         codec.encode("no-such-kind", relation)
 
@@ -269,7 +291,11 @@ def test_decoders_reject_malformed_payloads(kind, payload):
     The checksum guards against *accidental* damage; the structural
     validation guards against everything else (foreign writers, partial
     schema migrations), so both layers are exercised separately.
+    Relation payloads are checked where they are read: nested in a
+    lineage snapshot.
     """
+    if kind == "relation":
+        kind, payload = "lineage", _snapshot_payload(payload)
     with pytest.raises(codec.CodecError):
         codec.decode(kind, payload)
     envelope = {
@@ -282,9 +308,20 @@ def test_decoders_reject_malformed_payloads(kind, payload):
         codec.loads(kind, codec.canonical_json(envelope))
 
 
+def test_nested_relation_control_payload_decodes():
+    """The nesting used above is sound: a good relation payload decodes."""
+    good = {"vars": ["x"], "formula": {"f": "atom", "a": _GOOD_ATOM}}
+    record = codec.decode("lineage", _snapshot_payload(good))
+    ((name, relation),) = record.snapshot
+    assert name == "S" and relation.variables == ("x",)
+
+
 def test_encode_rejects_wrong_artifact_type():
+    assert "relation" not in codec.KINDS
     with pytest.raises(codec.CodecError):
-        codec.encode("relation", "not a relation")
+        codec.encode("relation", triangle_relation())
+    with pytest.raises(codec.CodecError):
+        codec.encode("lineage", "not a record")
     with pytest.raises(codec.CodecError):
         codec.encode("arrangement", triangle_relation())
     with pytest.raises(codec.CodecError):

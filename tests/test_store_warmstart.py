@@ -3,8 +3,9 @@
 Covers the tentpole's integration surface: a second engine (or process)
 pointed at the same cache directory answers from disk; ``--cache-dir``,
 ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_BUDGET`` all reach the builder;
-the naive benchmark baseline bypasses persistence; and the LRU budget
-actually bounds the store.
+engines pinned to different stores on concurrent threads never write
+to each other's; the naive benchmark baseline bypasses persistence;
+and the LRU budget actually bounds the store.
 """
 
 import io
@@ -58,12 +59,12 @@ def test_second_engine_hits_disk(tmp_path):
 def test_engine_cache_store_reaches_builder(tmp_path):
     store = private_store(tmp_path)
     relation = triangle()
-    cache = EngineCache(metrics=MetricsRegistry(), store=store)
-    built = cache.arrangement(relation)
+    cache = EngineCache(metrics=MetricsRegistry())
+    built = cache.arrangement(relation, store=store)
     assert store.stats()["writes"] == 1
 
-    fresh = EngineCache(metrics=MetricsRegistry(), store=store)
-    warm = fresh.arrangement(relation)
+    fresh = EngineCache(metrics=MetricsRegistry())
+    warm = fresh.arrangement(relation, store=store)
     assert warm.faces == built.faces
     assert warm.relation is relation
     assert store.stats()["hits"] == 1
@@ -71,70 +72,86 @@ def test_engine_cache_store_reaches_builder(tmp_path):
 
 def test_env_var_resolution(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-    store = store_pkg.active_store()
+    store = EngineConfig().store()
     assert store is not None
     assert str(store.root).startswith(str(tmp_path))
     # Same (path, budget) resolves to the same instance.
-    assert store_pkg.active_store() is store
+    assert EngineConfig().store() is store
 
     monkeypatch.setenv("REPRO_CACHE_BUDGET", "4096")
-    budgeted = store_pkg.active_store()
+    budgeted = EngineConfig().store()
     assert budgeted.size_budget == 4096
 
     monkeypatch.setenv("REPRO_CACHE_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
-        store_pkg.active_store()
+        EngineConfig()
 
     monkeypatch.delenv("REPRO_CACHE_BUDGET")
     monkeypatch.delenv("REPRO_CACHE_DIR")
-    assert store_pkg.active_store() is None
+    assert EngineConfig().store() is None
 
 
-def test_store_scope_pins_and_restores(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    pinned = private_store(tmp_path)
-    assert store_pkg.active_store() is None
-    with store_pkg.store_scope(pinned) as active:
-        assert active is pinned
-        assert store_pkg.active_store() is pinned
-        # A None scope inside is a no-op, not an off switch …
-        with store_pkg.store_scope(None):
-            pass
-    assert store_pkg.active_store() is None
-    # … and configure_store survives until cleared.
-    previous = store_pkg.configure_store(pinned)
-    assert previous is None
-    assert store_pkg.active_store() is pinned
-    store_pkg.configure_store(None)
-    assert store_pkg.active_store() is None
+def test_bare_build_arrangement_persists_under_env_dir(tmp_path, monkeypatch):
+    """``build_arrangement(relation)`` resolves its store once on entry."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
+    store = EngineConfig().store()
+    writes = store.stats()["writes"]
+    build_arrangement(triangle())
+    assert store.stats()["writes"] == writes + 1
+    assert any((store.entries_root / "arrangement").rglob("*.json"))
 
 
-def test_store_scope_is_thread_local(tmp_path, monkeypatch):
-    """Concurrent scopes on worker threads never leak across threads.
-
-    Regression: the override used to be a bare module global, so
-    interleaved enter/exit across threads could restore a stale value
-    and leave another thread's store pinned process-wide.
-    """
+def test_pinned_engines_on_threads_write_only_their_own_store(
+    tmp_path, monkeypatch
+):
+    """Engines pinned to different stores, evaluating concurrently, each
+    write only to their own store: the store is passed down explicitly,
+    so there is no shared override for the threads to race on."""
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     workers = 4
     barrier = threading.Barrier(workers)
+    stores = [private_store(tmp_path / f"s{index}") for index in range(workers)]
+    cache = EngineCache(metrics=MetricsRegistry())
 
     def worker(index: int):
-        mine = store_pkg.store_at(tmp_path / f"store-{index}")
-        with store_pkg.store_scope(mine):
-            barrier.wait(timeout=10)  # everyone inside a scope at once
-            assert store_pkg.active_store() is mine
-        return store_pkg.active_store()
+        engine = QueryEngine(
+            _triangle_db(index), cache=cache,
+            config=EngineConfig(cache_dir=stores[index]),
+        )
+        barrier.wait(timeout=10)  # every engine builds at once
+        return engine.evaluate("exists x, y. S(x, y)")
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        after = list(pool.map(worker, range(workers)))
+        answers = list(pool.map(worker, range(workers)))
 
-    assert after == [None] * workers
-    assert store_pkg.active_store() is None
+    assert all(not answer.is_empty() for answer in answers)
+    for index, store in enumerate(stores):
+        entries = list((store.entries_root / "arrangement").rglob("*.json"))
+        assert len(entries) == 1, (index, entries)
+        assert store.stats()["writes"] == 1
+        expected = store_pkg.arrangement_key(
+            *_key_parts(_triangle_db(index))
+        )
+        assert entries[0].stem == expected
+
+
+def _triangle_db(index: int):
+    from repro.constraints.database import ConstraintDatabase
+
+    return ConstraintDatabase.from_formula(
+        parse_formula(f"x0 >= 0 & x1 >= 0 & x0 + x1 <= {index + 1}"),
+        arity=2,
+    )
+
+
+def _key_parts(database):
+    from repro.arrangement.hyperplanes import hyperplanes_of_relation
+
+    relation = database.relation("S")
+    return hyperplanes_of_relation(relation), relation.arity, relation
 
 
 def test_naive_baseline_bypasses_store(tmp_path):
@@ -264,6 +281,54 @@ def test_old_statistics_entry_counts_and_ages_out(tmp_path):
     stats = store.stats()
     assert stats["entries"] == 1
     assert stats["bytes"] == len(OLD_STATISTICS_BYTES)
+    os.utime(planted, (1, 1))  # the least recently used entry
+    for k in range(1, 6):
+        build_arrangement(
+            ConstraintRelation.make(
+                ("x", "y"),
+                parse_formula(f"x >= 0 & y >= 0 & x + y <= {k}"),
+            ),
+            store=store,
+        )
+    assert store.stats()["evictions"] > 0
+    assert not planted.exists()
+
+
+#: A top-level ``relation`` entry as earlier versions wrote it (the kind
+#: is gone: relations are only stored nested in arrangements and
+#: lineage records), with a key of the kind those versions used.
+OLD_RELATION_KEY = (
+    "34167155364ea38fe6f6656a09eb87ac9f498a6be7d0a839d2bc1adc8421170a"
+)
+OLD_RELATION_BYTES = (
+    b'{"checksum":"63cd0a039461378a70bcf4c9e0f2e130c8eb5993be9472959ddb67'
+    b'24a72cbb8b","kind":"relation","payload":{"formula":{"f":"and","ops'
+    b'":[{"a":{"op":"<","t":{"c":[["x",[-1,1]]],"k":[0,1]}},"f":"atom"},'
+    b'{"a":{"op":"<","t":{"c":[["x",[1,1]]],"k":[-1,1]}},"f":"atom"}]},"v'
+    b'ars":["x"]},"schema":1}'
+)
+
+
+def test_old_relation_entry_counts_and_ages_out(tmp_path):
+    import os
+
+    store = private_store(tmp_path, size_budget=6000)
+    planted = (
+        store.entries_root / "relation" / OLD_RELATION_KEY[:2]
+        / f"{OLD_RELATION_KEY}.json"
+    )
+    planted.parent.mkdir(parents=True)
+    planted.write_bytes(OLD_RELATION_BYTES)
+    stats = store.stats()
+    assert stats["entries"] == 1
+    assert stats["bytes"] == len(OLD_RELATION_BYTES)
+    # Nothing reads the entry: a warm engine leaves it untouched.
+    QueryEngine(
+        interval_chain(3), cache=EngineCache(metrics=MetricsRegistry()),
+        config=EngineConfig(cache_dir=store),
+    ).evaluate("S(x) & x < 1")
+    assert planted.read_bytes() == OLD_RELATION_BYTES
+    assert store.stats()["corrupt_entries"] == 0
     os.utime(planted, (1, 1))  # the least recently used entry
     for k in range(1, 6):
         build_arrangement(
