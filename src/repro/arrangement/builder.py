@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.store.disk import DiskStore
@@ -554,13 +554,19 @@ def _resolve_planes(
     return planes, ambient
 
 
+#: :func:`build_arrangement`'s default ``store``: the one ``EngineConfig()``
+#: names.  Callers that resolved their own (the engine) pass it, ``None``
+#: included, so a "no store" decision is never taken again.
+_CONFIGURED_STORE: Any = object()
+
+
 def build_arrangement(
     relation: ConstraintRelation | None = None,
     hyperplanes: Sequence[Hyperplane] | None = None,
     dimension: int | None = None,
     witness_reuse: bool = True,
     dedup: bool = True,
-    store: "DiskStore | None" = None,
+    store: "DiskStore | None" = _CONFIGURED_STORE,
 ) -> Arrangement:
     """Build A(S) from a relation, or from an explicit hyperplane set.
 
@@ -579,15 +585,15 @@ def build_arrangement(
     :func:`enumerate_sign_vectors`).
 
     ``store`` (default: the store ``EngineConfig()`` names, i.e.
-    ``REPRO_CACHE_DIR``, resolved once on entry) persists the finished
-    arrangement on disk and answers later builds of the same content
-    from it — including in other processes.  Only the default fast path
-    goes through the store: the naive baseline (``witness_reuse=False``
-    or ``dedup=False``) exists to *measure* construction, so it always
-    rebuilds, and its witness points may legitimately differ from the
-    fast path's.  A disk hit skips sign-vector enumeration entirely;
-    corrupted or mismatched entries are ignored and the arrangement is
-    rebuilt.
+    ``REPRO_CACHE_DIR``, resolved once on entry; ``None``: no store)
+    persists the finished arrangement on disk and answers later builds
+    of the same content from it — including in other processes.  Only
+    the default fast path goes through the store: the naive baseline
+    (``witness_reuse=False`` or ``dedup=False``) exists to *measure*
+    construction, so it always rebuilds, and its witness points may
+    legitimately differ from the fast path's.  A disk hit skips
+    sign-vector enumeration entirely; corrupted or mismatched entries
+    are ignored and the arrangement is rebuilt.
     """
     planes, ambient = _resolve_planes(relation, hyperplanes, dimension)
 
@@ -598,7 +604,7 @@ def build_arrangement(
         from repro import store as store_pkg
 
         disk = store
-        if disk is None:
+        if disk is _CONFIGURED_STORE:
             from repro.config import EngineConfig
 
             disk = EngineConfig().store()

@@ -33,8 +33,9 @@ no store, no budget, no slow-query log.
 
 The entry points that accept a missing knob — ``QueryEngine(db)``,
 ``Evaluator``, ``evaluate_program``, ``explain_datalog`` and
-``build_arrangement(store=None)`` — build an ``EngineConfig`` once on
-entry; everything downstream reads resolved fields.
+``build_arrangement`` without a ``store`` — build an ``EngineConfig`` once
+on entry; everything downstream reads resolved fields (the engine passes
+its store down, ``None`` included).
 
 Consumers::
 

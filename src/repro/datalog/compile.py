@@ -229,7 +229,6 @@ def evaluate_program_compiled(
     program: Program,
     database: ConstraintDatabase,
     max_stages: int = 25,
-    profiler=None,
     compiled_strata: "list[CompiledStratum] | None" = None,
 ) -> EvaluationOutcome:
     """Semi-naive evaluation through compiled IR plans.
@@ -243,8 +242,8 @@ def evaluate_program_compiled(
 
     ``compiled_strata`` optionally supplies pre-built plans (aligned
     with :meth:`Program.strata`): ``repro explain --datalog`` passes the
-    symbolic plans it renders, so :class:`~repro.explain.NodeProfiler`
-    costs key to the exact node objects shown in the plan tree.
+    symbolic plans it renders, so the executor's per-node spans key to
+    the exact node objects shown in the plan tree.
     Symbolic plans keep negated atoms as in-loop :class:`ir.Complement`
     nodes instead of hoisted constants; the relations computed are
     identical.
@@ -281,7 +280,7 @@ def evaluate_program_compiled(
                             if first_stage
                             else compiled.stage_next[predicate]
                         )
-                        fresh = execute(plan, context, kernels, profiler)
+                        fresh = execute(plan, context, kernels)
                         if fresh is None:
                             fresh = ConstraintRelation.empty(
                                 idb[predicate].variables
@@ -299,7 +298,6 @@ def evaluate_program_compiled(
                                 compiled.accumulate[predicate],
                                 context,
                                 kernels,
-                                profiler,
                             )
                             del context.fresh[predicate]
                     sizes.append(

@@ -115,6 +115,8 @@ class EngineCache:
         #: In-flight builds, keyed by ("arrangement"|"extension", key);
         #: followers wait on the event, then re-check the map.
         self._inflight: dict[tuple, threading.Event] = {}
+        #: This thread's latest lookup outcome (see :meth:`last_outcome`).
+        self._outcome = threading.local()
         registry = metrics if metrics is not None else get_registry()
         self._c_ext_hits = registry.counter("engine.cache.extension.hits")
         self._c_ext_misses = registry.counter("engine.cache.extension.misses")
@@ -140,6 +142,7 @@ class EngineCache:
         one thread per in-flight key).
         """
         flight_key = (family, key)
+        outcome = "warm"
         while True:
             with self._lock:
                 cached = table.get(key)
@@ -153,9 +156,11 @@ class EngineCache:
                         break  # this thread builds
             if cached is not None:
                 hit()
+                self._outcome.value = outcome
                 return cached
             # Another thread is building this key: wait, then re-check.
             self._c_coalesced.inc()
+            outcome = "coalesced"
             event.wait()
         miss()
         try:
@@ -173,7 +178,14 @@ class EngineCache:
             with self._lock:
                 event = self._inflight.pop(flight_key)
             event.set()
+        self._outcome.value = "built"
         return value
+
+    def last_outcome(self) -> str:
+        """How this thread's latest lookup was served: ``"warm"`` (a
+        hit), ``"coalesced"`` (a hit after waiting on another thread's
+        build of the key) or ``"built"`` (this thread built it)."""
+        return getattr(self._outcome, "value", "warm")
 
     # ------------------------------------------------------------------
     # Arrangements
@@ -188,7 +200,7 @@ class EngineCache:
 
         A miss is a :func:`build_arrangement` call with ``store``: it
         consults that disk store before enumerating and persists freshly
-        built arrangements for later processes.
+        built arrangements for later processes (``None``: no store).
         """
         extra_key = (
             tuple(

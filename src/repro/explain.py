@@ -12,15 +12,18 @@ the formula's quantifier/connective structure, annotated with
   engine's evaluator memo — **without perturbing any of them** (no
   counters move, no LRU entry is touched).
 
-With ``analyze=True`` the query is executed and every node carries its
-*measured* cost: wall time (inclusive and self), evaluator calls and
-memo hits, and per-node deltas of the hot counters (LP solves split
-filtered/exact, feasibility-cache hits, DFS nodes, faces, store
-traffic).  Per-node attribution is exact for counters: the synthetic
-``setup`` node carries the extension/arrangement construction, the
-formula nodes carry evaluation, and a trailing ``other`` node absorbs
-whatever bookkeeping remains, so the per-node ``self`` values sum to the
-run's totals by construction.
+With ``analyze=True`` the query is executed under the tracer and every
+node carries its *measured* cost, read from the run's span tree: the
+evaluator opens one span per formula node (the IR executor one per plan
+node), keyed by the node's id, and the collection attributes the hot
+counters (:data:`PROFILE_COUNTERS`: LP solves split filtered/exact,
+feasibility-cache hits, DFS nodes, faces, store traffic) to every span.
+Each node gets wall time (inclusive and self), evaluator calls and memo
+hits, and those counter deltas.  Per-node attribution is exact for
+counters: the synthetic ``setup`` node carries the extension/arrangement
+construction, the formula nodes carry evaluation, and a trailing
+``other`` node absorbs whatever bookkeeping remains, so the per-node
+``self`` values sum to the run's totals by construction.
 
 Fixpoint nodes additionally carry their per-stage semi-naive deltas
 (``fixpoint.stage`` journal events), and the full structured record of
@@ -31,21 +34,20 @@ Datalog programs get the same treatment through
 :func:`explain_datalog`: one plan node per stratum and rule, per-stage
 delta disjunct counts from the ``datalog.stage`` journal events.
 
-Costs are attributed per *formula object* (``id``-keyed): the evaluator
-memoises structurally, so two structurally equal but distinct subtrees
-share evaluation work — the node that evaluated first pays, the second
-shows memo hits.
+Costs are attributed per *formula object* (``id``-keyed spans): the
+evaluator memoises structurally, so two structurally equal but distinct
+subtrees share evaluation work — the node that evaluated first pays, the
+second shows memo hits.
 """
 
 from __future__ import annotations
 
-import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.logic import ast
 from repro.logic.ast import classify_language
 from repro.obs.journal import JOURNAL
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER, Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -149,89 +151,6 @@ class PlanNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanNode({self.op!r}, {self.label!r})"
-
-
-class NodeProfiler:
-    """Attributes wall time and counter deltas to evaluator nodes.
-
-    Installed as ``Evaluator.profiler`` during EXPLAIN ANALYZE; the
-    evaluator brackets every non-memoised dispatch with :meth:`enter` /
-    :meth:`exit` and reports memo hits.  Nodes are keyed by formula
-    object identity (the plan tree keeps the formula alive, so ids are
-    stable), which avoids double-charging structurally equal subtrees
-    that share one memoised evaluation.
-
-    ``self`` (exclusive) numbers subtract everything attributed to
-    nested frames, so summing ``self`` over all nodes reproduces the
-    totals of the bracketed region exactly (for counters) or up to
-    clock granularity (for wall time).
-    """
-
-    def __init__(
-        self,
-        counters: tuple[str, ...] = PROFILE_COUNTERS,
-        registry=None,
-    ) -> None:
-        self.counters = tuple(counters)
-        self._registry = registry if registry is not None else get_registry()
-        # Frame: [node_id, start, snapshot, child_wall, child_counts]
-        self._stack: list[list] = []
-        #: ``id(formula) -> stats dict`` accumulated across calls.
-        self.stats: dict[int, dict[str, Any]] = {}
-
-    def _snap(self) -> list[int]:
-        registry = self._registry
-        return [registry.get(name) for name in self.counters]
-
-    def _node(self, formula: ast.RegFormula) -> dict[str, Any]:
-        node = self.stats.get(id(formula))
-        if node is None:
-            zero = [0] * len(self.counters)
-            node = {
-                "calls": 0,
-                "memo_hits": 0,
-                "wall_s": 0.0,
-                "self_wall_s": 0.0,
-                "counters": list(zero),
-                "self_counters": list(zero),
-            }
-            self.stats[id(formula)] = node
-        return node
-
-    def enter(self, formula: ast.RegFormula) -> None:
-        self._stack.append(
-            [
-                id(formula),
-                time.perf_counter(),
-                self._snap(),
-                0.0,
-                [0] * len(self.counters),
-            ]
-        )
-
-    def exit(self, formula: ast.RegFormula) -> None:
-        frame = self._stack.pop()
-        wall = time.perf_counter() - frame[1]
-        after = self._snap()
-        inclusive = [b - a for a, b in zip(frame[2], after)]
-        node = self._node(formula)
-        node["calls"] += 1
-        node["wall_s"] += wall
-        node["self_wall_s"] += wall - frame[3]
-        node["counters"] = [
-            c + d for c, d in zip(node["counters"], inclusive)
-        ]
-        node["self_counters"] = [
-            c + d - k
-            for c, d, k in zip(node["self_counters"], inclusive, frame[4])
-        ]
-        if self._stack:
-            parent = self._stack[-1]
-            parent[3] += wall
-            parent[4] = [c + d for c, d in zip(parent[4], inclusive)]
-
-    def memo_hit(self, formula: ast.RegFormula) -> None:
-        self._node(formula)["memo_hits"] += 1
 
 
 def _cost_block(
@@ -495,7 +414,8 @@ class ExplainResult:
         self.totals = totals
         #: The answer relation (or datalog outcome) of the analyzed run.
         self.answer = answer
-        #: The live span tree of the analyzed run.
+        #: The live span tree of the analyzed run (``None`` when it ran
+        #: inside the caller's trace collection).
         self.trace = trace
         #: The journal events of the analyzed run.
         self.events = events
@@ -533,58 +453,130 @@ class ExplainResult:
         )
 
 
-def _snapshot(registry) -> dict[str, int]:
-    return {name: registry.get(name) for name in PROFILE_COUNTERS}
+class _Run:
+    """The record :func:`_recording` leaves after its block."""
+
+    #: The run's span: a fresh collection's root, or a child span of
+    #: the caller's active collection.
+    span: Span
+    #: The root when the run had its own collection, else ``None``.
+    trace: Span | None = None
+    #: The journal events of the run.
+    events: list[dict]
 
 
-def _delta(
-    before: dict[str, int], after: dict[str, int]
-) -> dict[str, int]:
-    return {name: after[name] - before[name] for name in before}
+@contextmanager
+def _recording(name: str) -> Iterator[_Run]:
+    """Run a block under the journal and a span attributing the
+    :data:`PROFILE_COUNTERS` — the root of a collection of its own, or
+    a span inside the caller's active one."""
+    run = _Run()
+    own_journal = not JOURNAL.enabled
+    if own_journal:
+        JOURNAL.start()
+    try:
+        if TRACER.enabled:
+            with TRACER.span(name, counters=PROFILE_COUNTERS) as run.span:
+                yield run
+        else:
+            TRACER.start(name, counters=PROFILE_COUNTERS)
+            try:
+                yield run
+            finally:
+                run.span = run.trace = TRACER.stop()
+    finally:
+        run.events = JOURNAL.stop() if own_journal else JOURNAL.events()
 
 
-def _attach_profile(
+def _counts(span: Span) -> dict[str, int]:
+    """The span's inclusive :data:`PROFILE_COUNTERS` deltas."""
+    return {name: span.attrs.get(name, 0) for name in PROFILE_COUNTERS}
+
+
+def _node_costs(top: Span) -> dict[Any, dict[str, Any]]:
+    """Costs of the node spans under ``top``, by node id.
+
+    A node span is keyed by its node rather than its name.  Its self
+    cost is its inclusive cost minus that of the nearest node spans
+    below it; visits and memo hits of one node add up.
+    """
+    costs: dict[Any, dict[str, Any]] = {}
+
+    def visit(span: Span, owner: dict[str, Any] | None) -> None:
+        if span.key != span.name:
+            cost = costs.get(span.key)
+            if cost is None:
+                cost = costs[span.key] = {
+                    "calls": 0, "memo_hits": 0, "wall_s": 0.0,
+                    "self_wall_s": 0.0,
+                    "counters": dict.fromkeys(PROFILE_COUNTERS, 0),
+                    "self_counters": dict.fromkeys(PROFILE_COUNTERS, 0),
+                }
+            memo_hits = span.attrs.get("memo_hits", 0)
+            cost["calls"] += span.calls - memo_hits
+            cost["memo_hits"] += memo_hits
+            cost["wall_s"] += span.wall_s
+            cost["self_wall_s"] += span.wall_s
+            for name, value in _counts(span).items():
+                cost["counters"][name] += value
+                cost["self_counters"][name] += value
+                if owner is not None:
+                    owner["self_counters"][name] -= value
+            if owner is not None:
+                owner["self_wall_s"] -= span.wall_s
+            owner = cost
+        for child in span.children:
+            visit(child, owner)
+
+    visit(top, None)
+    return costs
+
+
+def _attach_costs(
     plan: PlanNode,
     index: dict[int, PlanNode],
-    profiler: NodeProfiler,
-    wall: float,
-    total_delta: dict[str, int],
+    top: Span,
     other_label: str,
-    attributed: dict[str, int] | None = None,
-    attributed_wall: float = 0.0,
 ) -> None:
-    """Attach the profiler's per-node costs, then the remainder.
+    """Cost ``plan`` and each indexed node from the spans under ``top``.
 
-    Every indexed plan node the profiler saw gets its cost block.
-    Whatever the frames did not bracket, beyond ``attributed`` /
-    ``attributed_wall`` already charged elsewhere, lands on a synthetic
-    trailing ``other`` child of ``plan``, so per-node self values sum
-    to the run totals exactly.
+    Whatever no indexed node span covers lands on a synthetic trailing
+    ``other`` child of ``plan``, so per-node self values sum to the run
+    totals exactly; ``plan`` itself carries the totals as inclusive
+    costs only.
     """
-    attributed = dict(attributed or {})
-    for node_id, plan_node in index.items():
-        stats = profiler.stats.get(node_id)
-        if stats is None:
+    totals = _counts(top)
+    remainder = dict(totals)
+    wall = top.wall_s
+    for node_id, cost in _node_costs(top).items():
+        plan_node = index.get(node_id)
+        if plan_node is None:
             continue
         plan_node.cost = _cost_block(
-            stats["wall_s"],
-            stats["self_wall_s"],
-            dict(zip(profiler.counters, stats["counters"])),
-            dict(zip(profiler.counters, stats["self_counters"])),
-            calls=stats["calls"],
-            memo_hits=stats["memo_hits"],
+            cost["wall_s"],
+            cost["self_wall_s"],
+            cost["counters"],
+            cost["self_counters"],
+            calls=cost["calls"],
+            memo_hits=cost["memo_hits"],
         )
-        for name, value in zip(profiler.counters, stats["self_counters"]):
-            attributed[name] = attributed.get(name, 0) + value
-        attributed_wall += stats["self_wall_s"]
-    remainder = {
-        name: total_delta[name] - attributed.get(name, 0)
-        for name in total_delta
-    }
-    other_wall = max(0.0, wall - attributed_wall)
+        for name, value in cost["self_counters"].items():
+            remainder[name] -= value
+        wall -= cost["self_wall_s"]
     other = PlanNode("other", other_label)
-    other.cost = _cost_block(other_wall, other_wall, remainder, remainder)
+    other.cost = _cost_block(
+        max(0.0, wall), max(0.0, wall), remainder, remainder
+    )
     plan.children.append(other)
+    plan.cost = _cost_block(top.wall_s, 0.0, totals, {})
+
+
+def _totals(top: Span) -> dict[str, Any]:
+    """The run totals: wall time and the nonzero counter deltas."""
+    return {
+        "wall_ms": round(top.wall_s * 1000.0, 3),
+        "counters": {k: v for k, v in _counts(top).items() if v},
+    }
 
 
 def _attach_stage_events(
@@ -632,14 +624,6 @@ def _attach_optimizer_decisions(
             node.detail["because"] = decision.because
 
 
-def _resolved_knobs(engine: "QueryEngine") -> dict[str, Any]:
-    """The runtime knobs the engine runs under (its config's fields)."""
-    return {
-        "lp_mode": engine.lp_mode,
-        "executor": engine.config.executor,
-    }
-
-
 def explain_query(
     engine: "QueryEngine",
     formula: ast.RegFormula,
@@ -649,81 +633,47 @@ def explain_query(
 
     The static half never touches engine state; the analyzed half runs
     the query with the tracer and journal recording (starting its own
-    collection only when none is active) and a :class:`NodeProfiler`
-    installed on the engine's evaluator.
+    collection only when none is active) and reads the costs off the
+    span tree.
     """
     # The engine's (memoised) cost-based rewrite: EXPLAIN must compile
-    # the exact plan objects evaluation will run so profiler frames and
-    # plan nodes line up; ``outcome`` carries the recorded decisions.
+    # the exact plan objects evaluation will run so node spans and plan
+    # nodes line up; ``outcome`` carries the recorded decisions.
     planned, outcome = engine.plan(formula)
     language = classify_language(planned)
     plan, index = compile_plan(engine, planned)
     plan.detail["optimizer"] = "on" if outcome is not None else "off"
-    plan.detail.update(_resolved_knobs(engine))
+    # The runtime knobs the engine runs under (its config's fields).
+    plan.detail.update(
+        lp_mode=engine.lp_mode, executor=engine.config.executor
+    )
     if outcome is not None:
         _attach_optimizer_decisions(plan, index, outcome)
     if not analyze:
         return ExplainResult(str(formula), language, plan, False)
 
-    registry = get_registry()
-    own_journal = not JOURNAL.enabled
-    if own_journal:
-        JOURNAL.start()
-    own_trace = not TRACER.enabled
-    if own_trace:
-        TRACER.start("explain")
-    start = time.perf_counter()
-    before = _snapshot(registry)
-    profiler = NodeProfiler()
-    trace_root: Span | None = None
-    try:
-        setup_start = time.perf_counter()
-        setup_before = _snapshot(registry)
-        engine.extension  # force the Theorem-3.1 construction
-        setup_wall = time.perf_counter() - setup_start
-        setup_delta = _delta(setup_before, _snapshot(registry))
-
-        evaluator = engine.evaluator
-        previous = evaluator.profiler
-        evaluator.profiler = profiler
-        try:
-            answer = engine.evaluate(formula)
-        finally:
-            evaluator.profiler = previous
-    finally:
-        if own_trace:
-            trace_root = TRACER.stop()
-        events = JOURNAL.stop() if own_journal else JOURNAL.events()
-    wall = time.perf_counter() - start
-    total_delta = _delta(before, _snapshot(registry))
-
-    # Attach measured costs: setup, then every evaluated formula node;
-    # what the frames did not bracket (parsing, result post-processing)
-    # goes to the trailing ``other`` node.
-    plan.children[0].cost = _cost_block(
-        setup_wall, setup_wall, dict(setup_delta), dict(setup_delta)
+    # The setup node is costed like a formula node, from a span keyed
+    # by it; what no node span covers (parsing, result
+    # post-processing) goes to the trailing ``other`` node.
+    setup = plan.children[0]
+    index[id(setup)] = setup
+    with _recording("explain") as run:
+        with TRACER.span("explain.setup", key=id(setup)):
+            engine.extension  # force the Theorem-3.1 construction
+        answer = engine.evaluate(formula)
+    _attach_costs(
+        plan, index, run.span, "Other: bookkeeping / answer post-processing"
     )
-    _attach_profile(
-        plan, index, profiler, wall, total_delta,
-        "Other: bookkeeping / answer post-processing",
-        attributed=setup_delta, attributed_wall=setup_wall,
-    )
-    _attach_stage_events(index, events)
-    plan.cost = _cost_block(wall, 0.0, dict(total_delta), {})
-
-    totals = {
-        "wall_ms": round(wall * 1000.0, 3),
-        "counters": {k: v for k, v in total_delta.items() if v},
-    }
+    _attach_stage_events(index, run.events)
     return ExplainResult(
         str(formula),
         language,
         plan,
         True,
-        totals=totals,
+        totals=_totals(run.span),
         answer=answer,
-        trace=trace_root,
-        events=events,
+        trace=run.trace,
+        events=run.events,
     )
 
 
@@ -733,9 +683,9 @@ def explain_query(
 def _ir_plan_node(ir_node, index: dict[int, PlanNode]) -> PlanNode:
     """Mirror one IR subtree as plan nodes, indexed by IR object id.
 
-    The profiler keys its frames by node object identity, so rendering
-    the *same* node objects the executor runs lets measured costs attach
-    to the exact plan lines the user sees.
+    The executor keys its spans by node id, so rendering the *same*
+    node objects it runs lets measured costs attach to the exact plan
+    lines the user sees.
     """
     plan = PlanNode(f"ir.{ir_node.op}", ir_node.describe())
     index[id(ir_node)] = plan
@@ -761,11 +711,11 @@ def explain_datalog(
     algebra IR plans — the stage-1 combiner, the delta-bound stage-≥2
     combiner and the accumulate combiner per predicate — rendered from
     :func:`repro.datalog.compile.compile_program`.  ANALYZE runs the
-    program under the journal and, when compiled, installs a
-    :class:`NodeProfiler` on the IR executor so every plan node carries
-    measured wall time and counter deltas whose ``self`` components sum
-    to the run totals exactly (the PR-5 invariant); per-stage delta
-    disjunct counts (``datalog.stage`` events) attach to the strata.
+    program under the journal and the tracer; when compiled, every plan
+    node carries the wall time and counter deltas of its executor spans,
+    whose ``self`` components sum to the run totals exactly; per-stage
+    delta disjunct counts (``datalog.stage`` events) attach to the
+    strata.
     """
     from repro.config import EngineConfig
 
@@ -832,14 +782,7 @@ def explain_datalog(
 
     from repro.datalog.engine import evaluate_program
 
-    registry = get_registry()
-    own_journal = not JOURNAL.enabled
-    if own_journal:
-        JOURNAL.start()
-    start = time.perf_counter()
-    before = _snapshot(registry)
-    profiler = NodeProfiler() if compiled_strata is not None else None
-    try:
+    with _recording("explain") as run:
         if compiled_strata is not None:
             from repro.datalog.compile import evaluate_program_compiled
 
@@ -847,7 +790,6 @@ def explain_datalog(
                 program,
                 database,
                 max_stages=max_stages,
-                profiler=profiler,
                 compiled_strata=compiled_strata,
             )
         else:
@@ -859,20 +801,19 @@ def explain_datalog(
                 executor=resolved,
                 optimizer=optimizer_mode,
             )
-    finally:
-        events = JOURNAL.stop() if own_journal else JOURNAL.events()
-    wall = time.perf_counter() - start
-    total_delta = _delta(before, _snapshot(registry))
-
-    if profiler is not None:
+    if compiled_strata is not None:
         # Stratum compilation, delta bookkeeping and convergence checks
         # go to the trailing ``other`` node.
-        _attach_profile(
-            root, ir_index, profiler, wall, total_delta,
+        _attach_costs(
+            root, ir_index, run.span,
             "Other: compilation / delta bookkeeping",
         )
+    else:
+        root.cost = _cost_block(
+            run.span.wall_s, run.span.wall_s, _counts(run.span), {}
+        )
 
-    stage_events = [e for e in events if e["type"] == "datalog.stage"]
+    stage_events = [e for e in run.events if e["type"] == "datalog.stage"]
     for node in stratum_nodes:
         predicates = set(node.detail["predicates"])
         stages = [
@@ -890,23 +831,19 @@ def explain_datalog(
         if stages:
             node.cost = _cost_block(0.0, 0.0, {}, {}, calls=0)
             node.cost["stages"] = stages
-    # With a profiler the children (IR nodes + Other) carry all the
-    # self costs; charging the root again would break the sums-to-
-    # totals invariant.
-    root_self = wall if profiler is None else 0.0
-    root.cost = _cost_block(wall, root_self, dict(total_delta), {})
-    totals = {
-        "wall_ms": round(wall * 1000.0, 3),
-        "stages": outcome.stages,
-        "converged": outcome.converged,
-        "counters": {k: v for k, v in total_delta.items() if v},
-    }
+    totals = _totals(run.span)
     return ExplainResult(
         str(program),
         "datalog",
         root,
         True,
-        totals=totals,
+        totals={
+            "wall_ms": totals["wall_ms"],
+            "stages": outcome.stages,
+            "converged": outcome.converged,
+            "counters": totals["counters"],
+        },
         answer=outcome,
-        events=events,
+        trace=run.trace,
+        events=run.events,
     )

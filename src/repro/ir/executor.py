@@ -15,11 +15,9 @@ conventions keep it byte-identical to the interpreted engine:
   thread memoised decisions into the *same* simplify-module and
   Fourier–Motzkin control flow).
 
-When a :class:`repro.explain.NodeProfiler` is supplied, every node
-evaluation is bracketed with ``enter``/``exit`` keyed on the node
-object, so ``repro explain --datalog --analyze`` attributes wall time
-and counter deltas to exact plan nodes with the PR-5 "self costs sum to
-totals" invariant intact.
+While tracing, every node evaluation is one span keyed by the node's
+id, so ``repro explain --datalog --analyze`` attributes wall time and
+counter deltas to exact plan nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from repro.constraints.relation import ConstraintRelation
 from repro.errors import EvaluationError
 from repro.ir.kernels import KernelCache
 from repro.ir import nodes as ir
+from repro.obs.tracing import TRACER
 
 
 @dataclass
@@ -46,33 +45,18 @@ def execute(
     node: ir.IRNode,
     context: ExecutionContext,
     kernels: KernelCache,
-    profiler=None,
 ) -> ConstraintRelation | None:
     """Evaluate a plan; ``None`` means every derivation was guard-skipped."""
-    if profiler is None:
-        return _execute(node, context, kernels, None)
-    profiler.enter(node)
-    try:
-        return _execute(node, context, kernels, profiler)
-    finally:
-        profiler.exit(node)
-
-
-def _recurse(node, context, kernels, profiler):
-    if profiler is None:
-        return _execute(node, context, kernels, None)
-    profiler.enter(node)
-    try:
-        return _execute(node, context, kernels, profiler)
-    finally:
-        profiler.exit(node)
+    if TRACER.enabled:
+        with TRACER.span("ir." + node.op, aggregate=True, key=id(node)):
+            return _execute(node, context, kernels)
+    return _execute(node, context, kernels)
 
 
 def _execute(
     node: ir.IRNode,
     context: ExecutionContext,
     kernels: KernelCache,
-    profiler,
 ) -> ConstraintRelation | None:
     if isinstance(node, ir.Const):
         return node.relation
@@ -87,16 +71,16 @@ def _execute(
     if isinstance(node, ir.Guard):
         if context.delta[node.delta_pred].is_empty():
             return None
-        return _recurse(node.children[0], context, kernels, profiler)
+        return execute(node.children[0], context, kernels)
     if isinstance(node, ir.Rename):
-        child = _recurse(node.children[0], context, kernels, profiler)
+        child = execute(node.children[0], context, kernels)
         return None if child is None else child.rename_to(node.schema)
     if isinstance(node, ir.Widen):
-        child = _recurse(node.children[0], context, kernels, profiler)
+        child = execute(node.children[0], context, kernels)
         return None if child is None else child.widen(node.schema)
     if isinstance(node, ir.Join):
         parts = [
-            _recurse(child, context, kernels, profiler)
+            execute(child, context, kernels)
             for child in node.children
         ]
         if any(part is None for part in parts):
@@ -104,7 +88,7 @@ def _execute(
         return kernels.join(parts[0].variables, parts)
     if isinstance(node, ir.Union):
         parts = [
-            _recurse(child, context, kernels, profiler)
+            execute(child, context, kernels)
             for child in node.children
         ]
         live = [part for part in parts if part is not None]
@@ -112,18 +96,18 @@ def _execute(
             return None
         return kernels.union(live[0].variables, live)
     if isinstance(node, ir.Diff):
-        left = _recurse(node.children[0], context, kernels, profiler)
+        left = execute(node.children[0], context, kernels)
         if left is None:
             return None
-        right = _recurse(node.children[1], context, kernels, profiler)
+        right = execute(node.children[1], context, kernels)
         return kernels.difference(left, right)
     if isinstance(node, ir.Complement):
-        child = _recurse(node.children[0], context, kernels, profiler)
+        child = execute(node.children[0], context, kernels)
         return None if child is None else kernels.complement(child)
     if isinstance(node, ir.Project):
-        child = _recurse(node.children[0], context, kernels, profiler)
+        child = execute(node.children[0], context, kernels)
         return None if child is None else kernels.project(child, node.keep)
     if isinstance(node, ir.Simplify):
-        child = _recurse(node.children[0], context, kernels, profiler)
+        child = execute(node.children[0], context, kernels)
         return None if child is None else kernels.minimise(child)
     raise EvaluationError(f"unknown IR node {type(node).__name__}")

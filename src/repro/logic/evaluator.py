@@ -32,7 +32,11 @@ from typing import Mapping
 
 from repro.errors import EvaluationError, UnboundVariableError
 from repro.constraints.formula import FALSE, TRUE
-from repro.constraints.relation import ConstraintRelation
+from repro.constraints.relation import (
+    ConstraintRelation,
+    intersect_relations,
+    union_relations,
+)
 from repro.obs.journal import JOURNAL
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import TRACER
@@ -78,6 +82,17 @@ def _false_relation() -> ConstraintRelation:
 
 def _bool_relation(value: bool) -> ConstraintRelation:
     return _true_relation() if value else _false_relation()
+
+
+def _combine(
+    pieces: list[ConstraintRelation], conjunctive: bool
+) -> ConstraintRelation:
+    """∧ (or ∨) of relations widened to the union of their schemas."""
+    schema = tuple(sorted(set().union(*(set(p.variables) for p in pieces))))
+    widened = [piece.widen(schema) for piece in pieces]
+    if conjunctive:
+        return intersect_relations(widened)
+    return union_relations(widened)
 
 
 class _StructuralKey:
@@ -146,12 +161,6 @@ class Evaluator:
         self._tc_memo: dict[_StructuralKey, set] = {}
         self._fixpoint_memo: dict[tuple, FixpointRun] = {}
         self._zero_dim_ranks: dict[int, int] | None = None
-        #: Optional per-node cost collector (EXPLAIN ANALYZE).  When set
-        #: (see :class:`repro.explain.NodeProfiler`) every non-memoised
-        #: dispatch is bracketed by ``enter``/``exit`` and memo hits are
-        #: reported, attributing wall time and counter deltas to the
-        #: exact subformula being evaluated.
-        self.profiler = None
         # Per-evaluator metrics that roll up into the process registry.
         self.metrics = (
             metrics
@@ -209,39 +218,33 @@ class Evaluator:
         region_env: RegionEnv,
         set_env: SetEnv,
     ) -> ConstraintRelation:
+        # While tracing, every evaluation and memo hit of a node lands
+        # on that node's own span (keyed by its id), which is what
+        # EXPLAIN ANALYZE reads per-node costs from.
         key = self._memo_key(formula, region_env, set_env)
         cached = self._memo.get(key)
         if cached is not None:
             self._c_memo_hits.inc()
-            if self.profiler is not None:
-                self.profiler.memo_hit(formula)
+            if TRACER.enabled:
+                with TRACER.span(
+                    "eval." + type(formula).__name__, aggregate=True,
+                    key=id(formula), memo_hits=1,
+                ):
+                    pass
             return cached
         self._c_evaluations.inc()
-        if self.profiler is not None:
-            self.profiler.enter(formula)
-            try:
-                result = self._dispatch_traced(formula, region_env, set_env)
-            finally:
-                self.profiler.exit(formula)
+        if TRACER.enabled:
+            with TRACER.span(
+                "eval." + type(formula).__name__, aggregate=True,
+                key=id(formula),
+            ):
+                result = self._dispatch(formula, region_env, set_env)
         else:
-            result = self._dispatch_traced(formula, region_env, set_env)
+            result = self._dispatch(formula, region_env, set_env)
         self._memo[key] = result
         if len(self._memo) > self._MEMO_CAPACITY:
             del self._memo[next(iter(self._memo))]
         return result
-
-    def _dispatch_traced(
-        self,
-        formula: ast.RegFormula,
-        region_env: RegionEnv,
-        set_env: SetEnv,
-    ) -> ConstraintRelation:
-        if TRACER.enabled:
-            with TRACER.span(
-                "eval." + type(formula).__name__, aggregate=True
-            ):
-                return self._dispatch(formula, region_env, set_env)
-        return self._dispatch(formula, region_env, set_env)
 
     def _memo_key(
         self,
@@ -402,11 +405,6 @@ class Evaluator:
         set_env: SetEnv,
         conjunctive: bool,
     ) -> ConstraintRelation:
-        from repro.constraints.relation import (
-            intersect_relations,
-            union_relations,
-        )
-
         # Boolean short-circuit: when no operand has free element
         # variables the connective is a plain truth-function, and lazy
         # evaluation avoids touching expensive operands (inner fixpoint
@@ -425,20 +423,7 @@ class Evaluator:
         ]
         if not children:
             return _bool_relation(conjunctive)
-        schema = tuple(
-            sorted(set().union(*(set(c.variables) for c in children)))
-        )
-        extended = [self._extend(child, schema) for child in children]
-        if conjunctive:
-            return intersect_relations(extended)
-        return union_relations(extended)
-
-    @staticmethod
-    def _extend(
-        relation: ConstraintRelation, schema: tuple[str, ...]
-    ) -> ConstraintRelation:
-        """Cylindrify a relation to a larger schema (formula unchanged)."""
-        return relation.widen(schema)
+        return _combine(children, conjunctive)
 
     def _exists_elem(
         self,
@@ -494,23 +479,11 @@ class Evaluator:
                     return _false_relation()
             else:
                 pieces.append(piece)
-        if boolean:
+        if boolean or not pieces:
+            # No witness (or counterexample) region, or no regions at
+            # all: ∃ is false, ∀ is true.
             return _bool_relation(not existential)
-        from repro.constraints.relation import (
-            intersect_relations,
-            union_relations,
-        )
-
-        if not pieces:
-            # No regions at all: ∃ is false, ∀ is true.
-            return _bool_relation(not existential)
-        schema = tuple(
-            sorted(set().union(*(set(p.variables) for p in pieces)))
-        )
-        extended = [self._extend(p, schema) for p in pieces]
-        if existential:
-            return union_relations(extended)
-        return intersect_relations(extended)
+        return _combine(pieces, conjunctive=not existential)
 
     # ------------------------------------------------------------------
     # Recursion operators
@@ -597,14 +570,12 @@ class Evaluator:
                 return result
 
         bound = len(universe) + 1
-        with TRACER.span("eval.fixpoint", aggregate=True) as fp_span:
-            if formula.kind is ast.FixKind.LFP:
-                run = least_fixpoint(step, bound)
-            elif formula.kind is ast.FixKind.IFP:
-                run = inflationary_fixpoint(step, bound)
-            else:
-                run = partial_fixpoint(step)
-            fp_span.add("stages", run.stages)
+        if formula.kind is ast.FixKind.LFP:
+            run = least_fixpoint(step, bound)
+        elif formula.kind is ast.FixKind.IFP:
+            run = inflationary_fixpoint(step, bound)
+        else:
+            run = partial_fixpoint(step)
         self._c_fixpoint_stages.inc(run.stages)
         self._fixpoint_memo[memo_key] = run
         return run
@@ -618,8 +589,7 @@ class Evaluator:
         memo_key = _structural_key(formula)
         closure = self._tc_memo.get(memo_key)
         if closure is None:
-            with TRACER.span("eval.transitive_closure", aggregate=True):
-                closure = self._compute_closure(formula, set_env)
+            closure = self._compute_closure(formula, set_env)
             self._tc_memo[memo_key] = closure
         left = tuple(region_env[name] for name in formula.left_args)
         right = tuple(region_env[name] for name in formula.right_args)
@@ -654,7 +624,7 @@ class Evaluator:
         }
         relation = self._eval(formula.body, body_env, set_env)
         # Normalise the schema to exactly the element variable.
-        relation = self._extend(relation, (formula.element_var,))
+        relation = relation.widen((formula.element_var,))
         denotation = RBitDenotation(unique_rational(relation))
         numerator_idx = region_env[formula.numerator]
         denominator_idx = region_env[formula.denominator]

@@ -8,7 +8,8 @@ The subsystem has three layers, all with near-zero cost while idle:
   ``Evaluator.metrics.snapshot()`` one evaluator's).
 * :mod:`repro.obs.tracing` — a span tree recorded by the process-wide
   :data:`TRACER`, disabled by default; ``repro profile`` and the
-  ``--trace`` CLI flag turn it on around one command.
+  ``--trace`` CLI flag turn it on around one command, and EXPLAIN
+  ANALYZE reads its per-node costs from it.
 * :mod:`repro.obs.telemetry` — the distribution layer: thread-safe
   histograms (log-spaced buckets, exact count/sum) with optional
   low-cardinality labels, and the Prometheus text renderer behind
@@ -18,9 +19,8 @@ The subsystem has three layers, all with near-zero cost while idle:
 * :mod:`repro.obs.journal` — the flight recorder: a bounded ring buffer
   of typed events (span open/close, cache and store decisions, fixpoint
   stage summaries), optionally streamed to JSONL via
-  ``--journal PATH`` / ``REPRO_JOURNAL``; :func:`~repro.obs.journal.\
-  replay` folds a journal back into the exact span tree, which is what
-  ``repro explain --analyze`` consumes.
+  ``--journal PATH`` / ``REPRO_JOURNAL``; :func:`~repro.obs.tracing.\
+  replay` folds a journal back into the exact span tree.
 
 Subsystems register their counters here on first use; the disk
 warm-start layer (:mod:`repro.store`) contributes ``store.hits`` /
@@ -56,24 +56,24 @@ from repro.obs.slowlog import (
     SlowQueryLog,
     load_slow_log,
 )
-from repro.obs.tracing import (
-    NULL_SPAN,
-    Span,
-    TRACER,
-    Tracer,
-    span,
-    traced,
-    tracing_enabled,
-)
 from repro.obs.journal import (
     JOURNAL,
     Journal,
-    ReplayResult,
     journal_context,
     journal_enabled,
     journal_scope,
     load_events,
+)
+from repro.obs.tracing import (
+    NULL_SPAN,
+    ReplayResult,
+    Span,
+    TRACER,
+    Tracer,
     replay,
+    span,
+    traced,
+    tracing_enabled,
 )
 
 

@@ -8,12 +8,11 @@ in order, as a stream of typed events:
 =================  ====================================================
 event type         payload (beyond ``seq`` / ``t`` / ``type``)
 =================  ====================================================
-``trace.begin``    ``id``, ``name`` — a tracer collection started
-``span.open``      ``id``, ``parent``, ``name``, ``aggregate``,
-                   ``attrs`` — a span opened under ``parent``
+``span.open``      ``id``, ``parent``, ``name``, ``key``,
+                   ``aggregate``, ``attrs`` — a span opened under
+                   ``parent`` (``null`` for a collection's root)
 ``span.close``     ``id``, ``wall_s``, ``calls``, ``attrs`` — the span
                    finished (final attributes)
-``trace.end``      ``id``, ``wall_s`` — the collection's root closed
 ``cache``          ``layer`` (``engine`` | ``store``), ``kind``,
                    ``outcome`` (``hit`` | ``miss`` | ``write`` |
                    ``corrupt``), ``key`` — one cache/store decision
@@ -29,12 +28,11 @@ counted in :attr:`Journal.dropped`) and are optionally streamed to a
 JSONL sink — one JSON object per line — selected by ``--journal PATH``
 on the CLI or the ``REPRO_JOURNAL`` environment variable.
 
-:func:`replay` inverts the stream: it folds the ``trace.begin`` /
-``span.open`` / ``span.close`` / ``trace.end`` events back into the
-exact :class:`~repro.obs.tracing.Span` tree the tracer built (including
-aggregate merging, in the original adoption order), which is what
-``repro explain --analyze`` renders and the tests compare
-byte-for-byte against the live tree.
+:func:`repro.obs.tracing.replay` inverts the stream: it folds the
+``span.open`` / ``span.close`` events back into the exact
+:class:`~repro.obs.tracing.Span` tree the tracer built, through the
+same fold the tracer builds it with live (so also for spans closed on
+several threads); the tests compare the two byte-for-byte.
 
 The journal is **disabled by default**: every emit site guards on one
 attribute check, and with no sink attached an enabled journal costs one
@@ -51,9 +49,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import IO, Any, Iterable, Iterator
-
-from repro.obs.tracing import Span
+from typing import IO, Any, Iterator
 
 #: Environment variable naming the JSONL sink path (the CLI's
 #: ``--journal`` flag overrides it).
@@ -114,13 +110,12 @@ class Journal:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, sink: "IO[str] | str | None" = None) -> "Journal":
+    def start(self, sink: "IO[str] | str | None" = None) -> None:
         """Begin recording; ``sink`` streams events to JSONL as well.
 
         ``sink`` may be a path (opened in append mode, closed by
-        :meth:`stop`) or an open text file object (left open).  Returns
-        the journal itself so ``with JOURNAL.start(...):`` scopes a
-        recording.
+        :meth:`stop`) or an open text file object (left open);
+        :func:`journal_scope` scopes a recording to a block.
         """
         self.reset()
         if isinstance(sink, str):
@@ -132,7 +127,6 @@ class Journal:
             self._owns_sink = False
         self._t0 = time.perf_counter()
         self.enabled = True
-        return self
 
     def stop(self) -> list[dict]:
         """End recording; flush/close an owned sink; return the events."""
@@ -156,22 +150,10 @@ class Journal:
         Also detaches (closing, if owned) any attached sink; used by
         :func:`repro.obs.reset_all` to make CLI invocations hermetic.
         """
-        was_enabled = self.enabled
         self.stop()
-        self.enabled = was_enabled and False
         self._ring.clear()
         self._seq = itertools.count()
         self.dropped = 0
-
-    def __enter__(self) -> "Journal":
-        if not self.enabled:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        if self.enabled:
-            self.stop()
-        return False
 
     # ------------------------------------------------------------------
     # Recording
@@ -201,11 +183,9 @@ class Journal:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def events(self, type_: str | None = None) -> list[dict]:
-        """The buffered events (optionally filtered by type), in order."""
-        if type_ is None:
-            return list(self._ring)
-        return [event for event in self._ring if event["type"] == type_]
+    def events(self) -> list[dict]:
+        """The buffered events, in order."""
+        return list(self._ring)
 
     @property
     def sink_path(self) -> str | None:
@@ -222,21 +202,9 @@ class Journal:
 #: The process-wide journal (disabled by default).
 JOURNAL = Journal()
 
-# The tracer mirrors span open/close into the journal; registration goes
-# this way round because the replay below builds tracer Span trees.
-from repro.obs import tracing as _tracing  # noqa: E402
-
-_tracing._attach_journal(JOURNAL)
-
 
 def journal_enabled() -> bool:
     return JOURNAL.enabled
-
-
-def emit(type_: str, **fields: Any) -> None:
-    """Module-level shortcut for ``JOURNAL.emit``."""
-    if JOURNAL.enabled:
-        JOURNAL.emit(type_, **fields)
 
 
 @contextmanager
@@ -250,7 +218,7 @@ def journal_scope(sink: "IO[str] | str | None" = None) -> Iterator[Journal]:
 
 
 # ----------------------------------------------------------------------
-# Replay
+# Reading a journal back (:func:`repro.obs.tracing.replay` folds it)
 # ----------------------------------------------------------------------
 def load_events(path: str) -> list[dict]:
     """Parse a JSONL journal file back into its event dicts."""
@@ -261,81 +229,3 @@ def load_events(path: str) -> list[dict]:
             if line:
                 events.append(json.loads(line))
     return events
-
-
-class ReplayResult:
-    """Outcome of :func:`replay`: reconstructed span trees + the rest."""
-
-    def __init__(
-        self,
-        roots: list[Span],
-        open_spans: list[Span],
-        events: list[dict],
-    ) -> None:
-        #: Completed trace roots, in ``trace.end`` order.
-        self.roots = roots
-        #: Spans opened but never closed in the event stream.
-        self.open_spans = open_spans
-        #: The full event list the replay consumed.
-        self.events = events
-
-    @property
-    def root(self) -> Span | None:
-        """The last completed trace root (the usual single collection)."""
-        return self.roots[-1] if self.roots else None
-
-    def events_of_type(self, type_: str) -> list[dict]:
-        return [event for event in self.events if event["type"] == type_]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ReplayResult(roots={len(self.roots)}, "
-            f"events={len(self.events)})"
-        )
-
-
-def replay(source: "str | Iterable[dict]") -> ReplayResult:
-    """Reconstruct the span tree(s) recorded in a journal.
-
-    ``source`` is a JSONL path or an iterable of event dicts.  The fold
-    re-applies exactly the tracer's own algorithm — children are adopted
-    into their recorded parent at ``span.close`` time, aggregates merge
-    by name — so for a complete single-threaded recording the result's
-    :attr:`~ReplayResult.root` satisfies ``root.to_dict() ==
-    live_root.to_dict()`` byte-for-byte.
-    """
-    events = load_events(source) if isinstance(source, str) else list(source)
-    live: dict[int, tuple[Span, int | None, bool]] = {}
-    roots: list[Span] = []
-    for event in events:
-        kind = event["type"]
-        if kind == "trace.begin":
-            span = Span(event["name"])
-            live[event["id"]] = (span, None, False)
-        elif kind == "span.open":
-            span = Span(event["name"], **event.get("attrs", {}))
-            live[event["id"]] = (
-                span, event.get("parent"), bool(event.get("aggregate"))
-            )
-        elif kind == "span.close":
-            entry = live.pop(event["id"], None)
-            if entry is None:
-                continue  # opened before the ring's horizon
-            span, parent_id, aggregate = entry
-            span.wall_s = event["wall_s"]
-            span.calls = event.get("calls", 1)
-            span.attrs = dict(event.get("attrs", {}))
-            parent = live.get(parent_id) if parent_id is not None else None
-            if parent is not None:
-                parent[0].adopt(span, aggregate)
-            else:
-                roots.append(span)  # orphan: surface it as its own root
-        elif kind == "trace.end":
-            entry = live.pop(event["id"], None)
-            if entry is None:
-                continue
-            span, __, __ = entry
-            span.wall_s = event["wall_s"]
-            roots.append(span)
-    open_spans = [span for span, __, __ in live.values()]
-    return ReplayResult(roots, open_spans, events)

@@ -127,9 +127,6 @@ class ConstraintService:
         self.shutdown = asyncio.Event()
         self._started = time.monotonic()
         self._request_seq = itertools.count(1)
-        #: Async single-flight: one in-flight extension build per
-        #: (fingerprint, decomposition, spatial) key.
-        self._builds: dict[tuple, asyncio.Future] = {}
         #: EXPLAIN ANALYZE drives the process-global tracer, which is
         #: one collection at a time — explain requests are serialised.
         self._explain_lock = asyncio.Lock()
@@ -165,7 +162,6 @@ class ConstraintService:
         self._c_ok = registry.counter("server.responses.ok")
         self._c_client_err = registry.counter("server.responses.client_error")
         self._c_server_err = registry.counter("server.responses.server_error")
-        self._c_build_waits = registry.counter("server.build.coalesced")
         self._routes: dict[str, tuple[str, Callable[..., Awaitable[Response]]]]
         self._routes = {
             "/v1/query": ("POST", self._handle_query),
@@ -305,36 +301,25 @@ class ConstraintService:
         return text
 
     async def _ensure_warm(self, engine: QueryEngine) -> str:
-        """Single-flight the cold region-extension build for an engine.
+        """Make the engine's region extension warm; how it was served.
 
-        Returns ``"warm"`` (already cached), ``"built"`` (this request
-        paid for the build) or ``"coalesced"`` (awaited another
-        request's in-flight build).
+        A cached extension is touched on the loop thread (a counted hit
+        and an LRU refresh) and reads ``"warm"``.  A cold one is built
+        on a worker thread through the engine cache, whose per-key
+        single-flight lets one request build (``"built"``) while the
+        others wait for it (``"coalesced"``).
         """
         if engine.cache.peek_extension(
             engine.database, engine.decomposition, engine.spatial_name
         ):
-            # Touch through the cache: a counted hit (and an LRU
-            # refresh) for engines that have not memoised it yet.
             engine.extension
             return "warm"
-        key = (
-            engine.fingerprint, engine.decomposition, engine.spatial_name
-        )
-        future = self._builds.get(key)
-        if future is None:
-            future = asyncio.ensure_future(
-                asyncio.to_thread(lambda: engine.extension)
-            )
-            self._builds[key] = future
-            future.add_done_callback(
-                lambda _done, key=key: self._builds.pop(key, None)
-            )
-            await asyncio.shield(future)
-            return "built"
-        self._c_build_waits.inc()
-        await asyncio.shield(future)
-        return "coalesced"
+
+        def build() -> str:
+            engine.extension
+            return engine.cache.last_outcome()
+
+        return await asyncio.to_thread(build)
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -598,7 +583,6 @@ class ConstraintService:
                 "ok": self._c_ok.value,
                 "client_error": self._c_client_err.value,
                 "server_error": self._c_server_err.value,
-                "build_coalesced": self._c_build_waits.value,
             },
             "config": self.config.describe(),
             "lp_mode": self.config.lp_mode,

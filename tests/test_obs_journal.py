@@ -11,6 +11,7 @@ corrupt the tree.
 
 import concurrent.futures
 import json
+import sys
 
 import pytest
 
@@ -21,9 +22,8 @@ from repro.obs.journal import (
     journal_enabled,
     journal_scope,
     load_events,
-    replay,
 )
-from repro.obs.tracing import TRACER, span
+from repro.obs.tracing import TRACER, replay, span
 
 
 @pytest.fixture(autouse=True)
@@ -173,3 +173,44 @@ class TestTracingEdges:
         live = TRACER.stop()
         events = JOURNAL.stop()
         assert _tree(replay(events).root) == _tree(live)
+
+    def test_two_threads_replay_to_the_live_tree(self):
+        """Spans closing on two threads at once: the journal records the
+        closes in the order the live tree adopted them, so the replay
+        equals the live root — child order and last-wins attributes
+        included."""
+        import threading
+
+        barrier = threading.Barrier(2)
+
+        def work(worker: int) -> None:
+            barrier.wait(timeout=10)
+            for index in range(200):
+                with span(f"w{worker}-{index}", worker=worker):
+                    with span("step", aggregate=True, last=index):
+                        pass
+                with span("shared", aggregate=True, last=f"{worker}"):
+                    pass
+
+        JOURNAL.start()
+        TRACER.start("unit")
+        threads = [
+            threading.Thread(target=work, args=(worker,))
+            for worker in range(2)
+        ]
+        # Switch threads as often as possible, so closes interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        live = TRACER.stop()
+        events = JOURNAL.stop()
+        assert len(live.children) == 401
+        assert replay(events).root.to_dict() == live.to_dict()
+

@@ -101,6 +101,21 @@ def test_bare_build_arrangement_persists_under_env_dir(tmp_path, monkeypatch):
     assert any((store.entries_root / "arrangement").rglob("*.json"))
 
 
+def test_engine_without_store_ignores_a_later_env_dir(tmp_path, monkeypatch):
+    """An engine whose config resolved to no store stays storeless: the
+    variable set after construction reaches no arrangement build."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    engine = QueryEngine(
+        interval_chain(3), cache=EngineCache(metrics=MetricsRegistry())
+    )
+    assert engine.store is None
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "late"))
+    assert not engine.evaluate("S(x) & x < 1").is_empty()
+    assert not (tmp_path / "late").exists() or not any(
+        (tmp_path / "late").rglob("*.json")
+    )
+
+
 def test_pinned_engines_on_threads_write_only_their_own_store(
     tmp_path, monkeypatch
 ):
